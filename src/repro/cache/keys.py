@@ -8,10 +8,13 @@ those inputs into a *key document* — a plain-JSON dictionary — and
 hashes it with the same :func:`repro.utils.cache.config_hash` machinery
 every other cache in the package uses.
 
-Two identity fields ride along beside the inputs:
+Three identity fields ride along beside the inputs:
 
 - ``package_version`` — results produced by a different release are
   never trusted (behaviour may have changed anywhere);
+- ``libraries`` — the numpy and scipy versions: an upgrade can move
+  last-ulp results (BLAS kernels, ``exp``/``sin`` loops), and a rollout
+  is a bitwise function of those too;
 - ``kernel`` — the kernel-identity tag (see :func:`kernel_identity_tag`
   and the DESIGN note): simulation kernels are part of the function
   being memoized, so bumping a kernel version invalidates every entry
@@ -49,7 +52,7 @@ __all__ = [
 ]
 
 #: Version of the key-document layout itself (bump on field changes).
-KEY_SCHEMA = 1
+KEY_SCHEMA = 2
 
 #: Version of the closed-loop rollout kernels (engine stepping, batched
 #: sensing, control maths).  Bump whenever a kernel change alters the
@@ -67,6 +70,14 @@ def kernel_identity_tag() -> str:
     from repro.sim.renderer import RENDERER_VERSION
 
     return f"rollout-v{ROLLOUT_KERNEL_VERSION}/renderer-v{RENDERER_VERSION}"
+
+
+def _library_versions() -> Dict[str, str]:
+    """Versions of the numerical libraries a rollout's bits depend on."""
+    import numpy
+    import scipy
+
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
 def _case_entry(case: Any) -> Optional[Any]:
@@ -128,6 +139,7 @@ def rollout_key_document(
         "schema": KEY_SCHEMA,
         "kernel": kernel_identity_tag(),
         "package_version": __version__,
+        "libraries": _library_versions(),
         "track": track.to_config(),
         "case": case_entry,
         "table": _table_entry(table),

@@ -604,8 +604,10 @@ class BatchedHilEngine:
                 with profile("hil.isp"):
                     rgbs[i] = pipeline.process(raws[i])
             else:
-                stacked = np.stack([raws[i] for i in members])
-                batch_rgb = pipeline.process_batch(stacked)
+                with profile("hil.isp", count=len(members)):
+                    batch_rgb = pipeline.process_batch(
+                        np.stack([raws[i] for i in members])
+                    )
                 for j, i in enumerate(members):
                     rgbs[i] = batch_rgb[j]
         return rgbs

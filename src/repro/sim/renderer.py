@@ -11,10 +11,16 @@ For every frame the renderer:
    anti-aliasing,
 4. applies the scene photometry (exposure, illuminant tint, headlight
    falloff) of the sector the vehicle is in,
-5. optionally mosaics to an RGGB Bayer RAW frame with sensor noise —
-   the input the :mod:`repro.isp` pipeline expects.
+5. for a RAW frame, adds sensor noise to the RGGB Bayer plane — the
+   input the :mod:`repro.isp` pipeline expects.
 
-The output RGB is *linear light*; the tone-mapping ISP stage is what
+One leading-axis kernel renders both outputs.  A RAW frame evaluates
+every pixel at the one Bayer channel it samples, so no radiance is
+computed only to be thrown away by a mosaic; an RGB frame evaluates all
+three channels of every pixel.  The chain is elementwise per sample, so
+a RAW pixel is bit-identical to the same channel of the RGB frame.
+
+The output is *linear light*; the tone-mapping ISP stage is what
 moves it to a display/perception-friendly domain, which is exactly why
 skipping that stage hurts low-light situations in the reproduction.
 """
@@ -22,7 +28,7 @@ skipping that stage hurts low-light situations in the reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from repro.core.situation import LaneColor, LaneForm, Scene
 from repro.sim.camera import CameraModel, GroundMap
 from repro.sim.geometry import Pose2D, rotation_matrix
 from repro.sim.photometry import ScenePhotometry, photometry_for
-from repro.sim.sensor import add_sensor_noise, mosaic, mosaic_batch
+from repro.sim.sensor import add_sensor_noise, bayer_channel_index
 from repro.sim.track import Track
 from repro.utils.rng import derive_rng
 from repro.utils.scratch import ScratchCache
@@ -56,6 +62,8 @@ WHITE_ALBEDO = np.array([0.85, 0.85, 0.85], dtype=np.float32)
 YELLOW_ALBEDO = np.array([0.82, 0.62, 0.10], dtype=np.float32)
 ROAD_ALBEDO = np.array([0.21, 0.21, 0.22], dtype=np.float32)
 SHOULDER_ALBEDO = np.array([0.10, 0.20, 0.08], dtype=np.float32)
+#: (road, shoulder, yellow, white) albedos of a 3-channel RGB sample.
+_RGB_ALBEDOS = (ROAD_ALBEDO, SHOULDER_ALBEDO, YELLOW_ALBEDO, WHITE_ALBEDO)
 
 _FORM_CODE = {LaneForm.CONTINUOUS: 0, LaneForm.DOTTED: 1, LaneForm.DOUBLE: 2}
 _COLOR_CODE = {LaneColor.WHITE: 0, LaneColor.YELLOW: 1}
@@ -102,24 +110,30 @@ class RoadSceneRenderer:
         self.options = options or RenderOptions()
         self.seed = seed
         self._noise_rng = derive_rng(seed, "camera-noise")
-        self._ground: GroundMap = camera.ground_map()
-        gm = self._ground
-        self._valid = gm.on_ground
-        self._vidx = np.nonzero(self._valid.ravel())[0]
+        # The ground map is only needed to build the per-sample arrays.
+        gm: GroundMap = camera.ground_map()
+        self._vidx = np.nonzero(gm.on_ground.ravel())[0]
         self._fwd = gm.forward.ravel()[self._vidx].astype(np.float32)
-        self._lat = gm.lateral.ravel()[self._vidx].astype(np.float32)
+        lateral = gm.lateral.ravel()[self._vidx].astype(np.float32)
         self._lat_fp = np.maximum(
             gm.lateral_footprint.ravel()[self._vidx], 1e-4
         ).astype(np.float32)
         self._fwd_fp = np.maximum(
             gm.forward_footprint.ravel()[self._vidx], 1e-4
         ).astype(np.float32)
-        self._local = np.stack([self._fwd, self._lat], axis=-1)
+        self._local = np.stack([self._fwd, lateral], axis=-1)
         # Per-segment appearance tables are pose-independent: built once
         # here, reused by every frame (never recomputed per render).
         self._segment_tables = self._build_segment_tables()
-        # Reusable per-frame temporaries (world points, albedo planes)
-        # and per-photometry float32 constants; both bounded.
+        # The Bayer channel each pixel samples, as a trailing axis of one:
+        # per-pixel channel constants then broadcast over (B, N, 1)
+        # exactly where the RGB path broadcasts (3,) constants.
+        bayer = bayer_channel_index(camera.height, camera.width).astype(np.uint8)
+        self._bayer_sky = bayer.reshape(-1, 1)
+        self._bayer_ground = self._bayer_sky[self._vidx]
+        self._raw_albedos = tuple(a[self._bayer_ground] for a in _RGB_ALBEDOS)
+        # Reusable per-frame temporaries (world points) and
+        # per-photometry float32 constants; both bounded.
         self._scratch = ScratchCache(max_entries=16)
         self._photometry_arrays: dict = {}
 
@@ -135,27 +149,16 @@ class RoadSceneRenderer:
         When *scene* is ``None`` the scene condition of the sector the
         vehicle currently occupies is used (dynamic-track behaviour).
         """
-        s_vehicle, _ = self.track.frenet(pose.x, pose.y)
-        if scene is None:
-            scene = self.track.situation_at(s_vehicle).scene
-        photometry = photometry_for(scene)
-        return self._render(pose, photometry, s_vehicle)
+        s_vehicle, photometry = self._situate(pose, scene)
+        return self._render([pose], [s_vehicle], photometry, raw=False)[0]
 
     def render_raw(
         self, pose: Pose2D, scene: Optional[Scene] = None
     ) -> np.ndarray:
         """Render the RGGB Bayer RAW frame (what the ISP consumes)."""
-        s_vehicle, _ = self.track.frenet(pose.x, pose.y)
-        if scene is None:
-            scene = self.track.situation_at(s_vehicle).scene
-        photometry = photometry_for(scene)
-        rgb = self._render(pose, photometry, s_vehicle)
-        raw = mosaic(rgb)
-        if self.options.noise:
-            raw = add_sensor_noise(
-                raw, self._noise_rng, photometry.read_noise, photometry.shot_noise
-            )
-        return raw
+        s_vehicle, photometry = self._situate(pose, scene)
+        raw = self._render([pose], [s_vehicle], photometry)[0]
+        return self._add_noise(raw, photometry)
 
     def scene_at(self, pose: Pose2D) -> Scene:
         """The scene condition of the sector containing *pose*."""
@@ -165,6 +168,23 @@ class RoadSceneRenderer:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+
+    def _situate(
+        self, pose: Pose2D, scene: Optional[Scene]
+    ) -> Tuple[float, ScenePhotometry]:
+        """The vehicle's arc length and the photometry it renders under."""
+        s_vehicle, _ = self.track.frenet(pose.x, pose.y)
+        if scene is None:
+            scene = self.track.situation_at(s_vehicle).scene
+        return s_vehicle, photometry_for(scene)
+
+    def _add_noise(self, raw: np.ndarray, photometry: ScenePhotometry) -> np.ndarray:
+        """One draw from this renderer's ``camera-noise`` stream, if enabled."""
+        if not self.options.noise:
+            return raw
+        return add_sensor_noise(
+            raw, self._noise_rng, photometry.read_noise, photometry.shot_noise
+        )
 
     def _build_segment_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-segment (s_start, lane-form code, lane-color code) arrays."""
@@ -177,126 +197,60 @@ class RoadSceneRenderer:
         )
         return bounds, forms, colors
 
-    def _photometry_constants(self, photometry: ScenePhotometry):
-        """Float32 tint/sky arrays, built once per photometry object."""
-        cached = self._photometry_arrays.get(photometry)
+    def _photometry_constants(self, photometry: ScenePhotometry, raw: bool):
+        """Pose-independent ``(illum, tint, sky)``, built once per photometry.
+
+        ``illum`` is the headlight profile over the ground samples
+        (``None`` when uniformly lit).  ``tint`` and the clipped ``sky``
+        are gathered at each pixel's Bayer channel for a RAW frame and
+        stay ``(3,)`` for an RGB frame.
+        """
+        cached = self._photometry_arrays.get((photometry, raw))
         if cached is None:
-            cached = (
-                photometry.tint_array().astype(np.float32),
-                (photometry.sky_array() * max(photometry.exposure, 0.05)).astype(
-                    np.float32
-                ),
+            illum = None
+            if np.isfinite(photometry.headlight_falloff):
+                illum = np.float32(photometry.exposure) * (
+                    np.float32(0.25)
+                    + np.float32(0.75)
+                    * np.exp(-self._fwd / np.float32(photometry.headlight_falloff))
+                )
+            tint = photometry.tint_array().astype(np.float32)
+            sky = (photometry.sky_array() * max(photometry.exposure, 0.05)).astype(
+                np.float32
             )
-            self._photometry_arrays[photometry] = cached
+            if raw:
+                tint, sky = tint[self._bayer_ground], sky[self._bayer_sky]
+            cached = (illum, tint, np.clip(sky, 0.0, 1.0))
+            self._photometry_arrays[(photometry, raw)] = cached
         return cached
 
     def _render(
-        self, pose: Pose2D, photometry: ScenePhotometry, s_vehicle: float
-    ) -> np.ndarray:
-        cam = self.camera
-        opts = self.options
-        height, width = cam.height, cam.width
-
-        # 1. ground pixels -> world -> road coordinates
-        rot = rotation_matrix(pose.heading).astype(np.float32)
-        world = self._scratch.get("world", self._local.shape)
-        np.matmul(self._local, rot.T, out=world)
-        world += pose.position().astype(np.float32)
-        window = (s_vehicle - 25.0, s_vehicle + cam.max_distance + 30.0)
-        s_pt, d_pt, on_track = self.track.locate_points(world, window)
-        s_pt = np.where(on_track, s_pt, np.float32(0.0))
-        d_pt = np.where(on_track, d_pt, np.float32(1e6))  # far off-road
-
-        # 2. base albedo: asphalt / shoulder, with position-stable texture
-        half = opts.lane_width / 2.0
-        on_road = (d_pt >= -(half + opts.right_shoulder)) & (
-            d_pt <= half + opts.adjacent_lane_width
-        )
-        albedo = np.where(
-            on_road[:, None],
-            ROAD_ALBEDO[None, :],
-            SHOULDER_ALBEDO[None, :],
-        )
-        texture = np.float32(opts.texture_amplitude) * _position_hash(s_pt, d_pt)
-        albedo *= np.float32(1.0) + texture[:, None]
-
-        # 3. lane markings
-        seg_idx = (
-            np.searchsorted(self._segment_tables[0], s_pt, side="right") - 1
-        ).clip(0, len(self.track.segments) - 1)
-        form_code = self._segment_tables[1][seg_idx]
-        color_code = self._segment_tables[2][seg_idx]
-
-        left_cov = self._marking_coverage(
-            d_pt - half, s_pt, form_code, self._lat_fp, self._fwd_fp
-        )
-        right_cov = self._marking_coverage(
-            d_pt + half,
-            s_pt,
-            np.full_like(form_code, _FORM_CODE[LaneForm.DOTTED]),
-            self._lat_fp,
-            self._fwd_fp,
-        )
-        left_color = np.where(
-            color_code[:, None] == _COLOR_CODE[LaneColor.YELLOW],
-            YELLOW_ALBEDO[None, :],
-            WHITE_ALBEDO[None, :],
-        )
-        albedo += left_cov[:, None] * (left_color - albedo)
-        albedo += right_cov[:, None] * (WHITE_ALBEDO[None, :] - albedo)
-
-        # 4. photometry: exposure, headlight falloff, tint, ambient.
-        # Lane paint is retroreflective (glass beads): under headlight
-        # illumination the markings return extra light to the camera.
-        # ``albedo`` is a fresh per-call temporary, so the radiance
-        # chain runs in place on it.
-        tint, sky = self._photometry_constants(photometry)
-        if np.isfinite(photometry.headlight_falloff):
-            illum = np.float32(photometry.exposure) * (
-                np.float32(0.25)
-                + np.float32(0.75)
-                * np.exp(-self._fwd / np.float32(photometry.headlight_falloff))
-            )
-            marking_cov = np.maximum(left_cov, right_cov)
-            retro = np.float32(1.0) + np.float32(RETROREFLECTIVE_GAIN) * marking_cov
-            albedo *= (illum * retro)[:, None]
-        else:
-            albedo *= np.float32(photometry.exposure)
-        albedo *= tint
-        albedo += np.float32(photometry.ambient)
-        radiance = albedo
-
-        # 5. scatter into the frame; sky everywhere else
-        frame = np.empty((height * width, 3), dtype=np.float32)
-        frame[:] = sky
-        frame[self._vidx] = radiance
-        np.clip(frame, 0.0, 1.0, out=frame)
-        return frame.reshape(height, width, 3)
-
-    def _render_batch(
         self,
         poses: Sequence[Pose2D],
-        photometry: ScenePhotometry,
         s_vehicles: Sequence[float],
+        photometry: ScenePhotometry,
+        raw: bool = True,
     ) -> np.ndarray:
-        """Render B frames sharing one photometry as ``(B, H, W, 3)``.
+        """Render B noise-free frames sharing one photometry.
 
-        Mirrors :meth:`_render` op by op with a leading batch axis.
-        Geometry transforms that are not batch-invariant (the pose
-        matmul, ``locate_points`` with its per-lane s-window) run
-        per-lane into views of the stacked buffers; everything after is
+        Returns ``(B, H, W)`` RGGB planes when *raw*, else ``(B, H, W, 3)``
+        linear RGB.  Ground samples carry a trailing channel axis: one
+        entry (the pixel's Bayer channel) for RAW, three for RGB.  The
+        pose matmul and ``locate_points`` with its per-lane s-window run
+        per lane into rows of stacked buffers; everything after is
         elementwise/broadcast math, which numpy evaluates identically
-        for ``(N,)`` and ``(B, N)`` operands — that is what keeps lanes
-        bit-identical to serial renders.
+        for any leading shape and any channel gather — that is what
+        keeps a lane bit-identical to a B=1 render, and a RAW pixel
+        bit-identical to the same channel of the RGB frame.
         """
         cam = self.camera
         opts = self.options
-        height, width = cam.height, cam.width
-        batch = len(poses)
-        n_pts = self._local.shape[0]
+        batch, n_pts = len(poses), self._local.shape[0]
+        road, shoulder, yellow, white = self._raw_albedos if raw else _RGB_ALBEDOS
+        illum, tint, sky = self._photometry_constants(photometry, raw)
 
         # 1. ground pixels -> world -> road coordinates (per lane)
-        world = self._scratch.get("world-batch", (batch, n_pts, 2))
+        world = self._scratch.get("world", (batch, n_pts, 2))
         s_pt = np.empty((batch, n_pts), dtype=np.float32)
         d_pt = np.empty((batch, n_pts), dtype=np.float32)
         on_track = np.empty((batch, n_pts), dtype=bool)
@@ -305,12 +259,9 @@ class RoadSceneRenderer:
             np.matmul(self._local, rot.T, out=world[lane])
             world[lane] += pose.position().astype(np.float32)
             window = (s_vehicle - 25.0, s_vehicle + cam.max_distance + 30.0)
-            s_lane, d_lane, on_lane = self.track.locate_points(
+            s_pt[lane], d_pt[lane], on_track[lane] = self.track.locate_points(
                 world[lane], window
             )
-            s_pt[lane] = s_lane
-            d_pt[lane] = d_lane
-            on_track[lane] = on_lane
         s_pt = np.where(on_track, s_pt, np.float32(0.0))
         d_pt = np.where(on_track, d_pt, np.float32(1e6))  # far off-road
 
@@ -319,15 +270,11 @@ class RoadSceneRenderer:
         on_road = (d_pt >= -(half + opts.right_shoulder)) & (
             d_pt <= half + opts.adjacent_lane_width
         )
-        albedo = np.where(
-            on_road[..., None],
-            ROAD_ALBEDO[None, :],
-            SHOULDER_ALBEDO[None, :],
-        )
+        albedo = np.where(on_road[..., None], road, shoulder)
         texture = np.float32(opts.texture_amplitude) * _position_hash(s_pt, d_pt)
         albedo *= np.float32(1.0) + texture[..., None]
 
-        # 3. lane markings
+        # 3. lane markings; the right marking is always a dotted line
         seg_idx = (
             np.searchsorted(self._segment_tables[0], s_pt, side="right") - 1
         ).clip(0, len(self.track.segments) - 1)
@@ -337,30 +284,23 @@ class RoadSceneRenderer:
         left_cov = self._marking_coverage(
             d_pt - half, s_pt, form_code, self._lat_fp, self._fwd_fp
         )
-        right_cov = self._marking_coverage(
-            d_pt + half,
+        right_cov = _dashed(
+            _line_coverage(d_pt + half, MARK_HALF_WIDTH, self._lat_fp),
             s_pt,
-            np.full_like(form_code, _FORM_CODE[LaneForm.DOTTED]),
-            self._lat_fp,
             self._fwd_fp,
         )
         left_color = np.where(
-            color_code[..., None] == _COLOR_CODE[LaneColor.YELLOW],
-            YELLOW_ALBEDO[None, :],
-            WHITE_ALBEDO[None, :],
+            color_code[..., None] == _COLOR_CODE[LaneColor.YELLOW], yellow, white
         )
         albedo += left_cov[..., None] * (left_color - albedo)
-        albedo += right_cov[..., None] * (WHITE_ALBEDO[None, :] - albedo)
+        albedo += right_cov[..., None] * (white - albedo)
 
-        # 4. photometry — shared across the group, so the (N,) illum
-        # profile broadcasts over lanes exactly as in the serial path.
-        tint, sky = self._photometry_constants(photometry)
-        if np.isfinite(photometry.headlight_falloff):
-            illum = np.float32(photometry.exposure) * (
-                np.float32(0.25)
-                + np.float32(0.75)
-                * np.exp(-self._fwd / np.float32(photometry.headlight_falloff))
-            )
+        # 4. photometry: exposure, headlight falloff, tint, ambient.
+        # Lane paint is retroreflective (glass beads): under headlight
+        # illumination the markings return extra light to the camera.
+        # ``albedo`` is a fresh per-call temporary, so the radiance
+        # chain runs in place on it.
+        if illum is not None:
             marking_cov = np.maximum(left_cov, right_cov)
             retro = np.float32(1.0) + np.float32(RETROREFLECTIVE_GAIN) * marking_cov
             albedo *= (illum * retro)[..., None]
@@ -368,14 +308,15 @@ class RoadSceneRenderer:
             albedo *= np.float32(photometry.exposure)
         albedo *= tint
         albedo += np.float32(photometry.ambient)
-        radiance = albedo
+        radiance = np.clip(albedo, 0.0, 1.0, out=albedo)
 
-        # 5. scatter into the frames; sky everywhere else
-        frame = np.empty((batch, height * width, 3), dtype=np.float32)
+        # 5. scatter into the frames; (pre-clipped) sky everywhere else
+        frame = np.empty((batch, cam.height * cam.width, albedo.shape[-1]), np.float32)
         frame[:] = sky
         frame[:, self._vidx] = radiance
-        np.clip(frame, 0.0, 1.0, out=frame)
-        return frame.reshape(batch, height, width, 3)
+        if raw:
+            return frame.reshape(batch, cam.height, cam.width)
+        return frame.reshape(batch, cam.height, cam.width, 3)
 
     @staticmethod
     def _marking_coverage(
@@ -388,27 +329,53 @@ class RoadSceneRenderer:
         """Anti-aliased coverage of a marking centred at ``delta == 0``.
 
         *delta* is the lateral distance to the marking centerline;
-        *form_code* selects continuous / dotted / double per point.
+        *form_code* selects continuous / dotted / double per point.  The
+        double-line pair is skipped when no point is DOUBLE (the
+        selection would discard it), and the dash term is evaluated
+        only at DOTTED points (elsewhere it is an exact ``1.0`` factor).
         """
-        single = _line_coverage(delta, MARK_HALF_WIDTH, lat_fp)
-        double = np.maximum(
-            _line_coverage(delta - DOUBLE_LINE_OFFSET, DOUBLE_LINE_HALF_WIDTH, lat_fp),
-            _line_coverage(delta + DOUBLE_LINE_OFFSET, DOUBLE_LINE_HALF_WIDTH, lat_fp),
-        )
-        lateral = np.where(form_code == _FORM_CODE[LaneForm.DOUBLE], double, single)
-        dash_pos = np.mod(s, DASH_PERIOD)
-        dash = np.clip(
-            (DASH_LENGTH / 2.0 - np.abs(dash_pos - DASH_LENGTH / 2.0)) / fwd_fp + 0.5,
-            0.0,
-            1.0,
-        )
-        modulation = np.where(form_code == _FORM_CODE[LaneForm.DOTTED], dash, 1.0)
-        return lateral * modulation
+        lateral = _line_coverage(delta, MARK_HALF_WIDTH, lat_fp)
+        is_double = form_code == _FORM_CODE[LaneForm.DOUBLE]
+        if is_double.any():
+            double = np.maximum(
+                _line_coverage(delta - DOUBLE_LINE_OFFSET, DOUBLE_LINE_HALF_WIDTH, lat_fp),
+                _line_coverage(delta + DOUBLE_LINE_OFFSET, DOUBLE_LINE_HALF_WIDTH, lat_fp),
+            )
+            lateral = np.where(is_double, double, lateral)
+        return _dashed(lateral, s, fwd_fp, form_code == _FORM_CODE[LaneForm.DOTTED])
 
 
 def _line_coverage(delta: np.ndarray, half_width: float, footprint: np.ndarray) -> np.ndarray:
     """Fraction of a pixel's lateral footprint covered by a painted line."""
     return np.clip((half_width - np.abs(delta)) / footprint + 0.5, 0.0, 1.0)
+
+
+def _dash_coverage(s: np.ndarray, footprint: np.ndarray) -> np.ndarray:
+    """Fraction of a pixel's forward footprint covered by a dash."""
+    dash_pos = np.mod(s, DASH_PERIOD)
+    return np.clip(
+        (DASH_LENGTH / 2.0 - np.abs(dash_pos - DASH_LENGTH / 2.0)) / footprint + 0.5,
+        0.0,
+        1.0,
+    )
+
+
+def _dashed(
+    lateral: np.ndarray,
+    s: np.ndarray,
+    footprint: np.ndarray,
+    dotted: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Multiply *lateral* in place by the dash coverage at *dotted* samples.
+
+    ``dotted=None`` dashes every sample.  The dash factor is finite and
+    non-negative, so a sample without lateral coverage stays exactly
+    ``0.0``: only painted candidates are evaluated (``np.mod`` is slow).
+    """
+    hit = lateral != 0 if dotted is None else (lateral != 0) & dotted
+    at = np.nonzero(hit)
+    lateral[at] *= _dash_coverage(s[at], np.broadcast_to(footprint, s.shape)[at])
+    return lateral
 
 
 def _position_hash(s: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -428,7 +395,7 @@ def render_raw_batch(
     options (the batched driver groups lanes by exactly that key); the
     leading renderer's precomputed geometry then serves every lane.
     Lanes are sub-grouped by scene photometry so each group renders
-    through one :meth:`RoadSceneRenderer._render_batch` call.  Sensor
+    through one :meth:`RoadSceneRenderer._render` call.  Sensor
     noise stays strictly per-lane: each lane draws from its own
     ``camera-noise`` stream, one draw per frame, exactly as in
     :meth:`RoadSceneRenderer.render_raw`.
@@ -446,35 +413,17 @@ def render_raw_batch(
             )
 
     # Per-lane situate: same frenet + situation lookup as render_raw.
-    s_vehicles: List[float] = []
-    photometries: List[ScenePhotometry] = []
-    for renderer, pose, scene in zip(renderers, poses, scenes):
-        s_vehicle, _ = renderer.track.frenet(pose.x, pose.y)
-        if scene is None:
-            scene = renderer.track.situation_at(s_vehicle).scene
-        s_vehicles.append(s_vehicle)
-        photometries.append(photometry_for(scene))
-
+    situated = [r._situate(pose, scene) for r, pose, scene in zip(renderers, poses, scenes)]
     groups: dict = {}
-    for lane, photometry in enumerate(photometries):
+    for lane, (_, photometry) in enumerate(situated):
         groups.setdefault(photometry, []).append(lane)
 
     cam = lead.camera
     out = np.empty((n_lanes, cam.height, cam.width), dtype=np.float32)
     for photometry, lanes in groups.items():
-        rgb = lead._render_batch(
-            [poses[i] for i in lanes], photometry, [s_vehicles[i] for i in lanes]
+        raw = lead._render(
+            [poses[i] for i in lanes], [situated[i][0] for i in lanes], photometry
         )
-        raw = mosaic_batch(rgb)
         for j, i in enumerate(lanes):
-            renderer = renderers[i]
-            if renderer.options.noise:
-                out[i] = add_sensor_noise(
-                    raw[j],
-                    renderer._noise_rng,
-                    photometry.read_noise,
-                    photometry.shot_noise,
-                )
-            else:
-                out[i] = raw[j]
+            out[i] = renderers[i]._add_noise(raw[j], photometry)
     return out

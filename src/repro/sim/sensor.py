@@ -1,9 +1,10 @@
 """Camera sensor model: Bayer mosaic and noise injection.
 
 The paper's ISP consumes RAW frames in the Bayer domain (Fig. 3a).  This
-module turns the renderer's linear RGB radiance into a single-channel
-RGGB Bayer mosaic with signal-dependent sensor noise, which
-:mod:`repro.isp` then reconstructs.
+module defines the RGGB layout the renderer evaluates its RAW frames in
+(:func:`mosaic` is the reference subsampling of a linear RGB frame) and
+the signal-dependent sensor noise on top, which :mod:`repro.isp` then
+reconstructs.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import numpy as np
 
 __all__ = [
     "BAYER_PATTERN",
+    "bayer_channel_index",
     "bayer_channel_masks",
     "mosaic",
-    "mosaic_batch",
     "add_sensor_noise",
     "blackout_frame",
     "band_frame",
@@ -26,16 +27,19 @@ __all__ = [
 BAYER_PATTERN = "RGGB"
 
 
+def bayer_channel_index(height: int, width: int) -> np.ndarray:
+    """RGB channel (0 R, 1 G, 2 B) each pixel of an RGGB mosaic samples.
+
+    Row parity plus column parity: the same pixel-to-channel map
+    :func:`mosaic` applies with its strided slices.
+    """
+    return np.arange(height)[:, None] % 2 + np.arange(width)[None, :] % 2
+
+
 def bayer_channel_masks(height: int, width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boolean masks (R, G, B) of an RGGB mosaic of the given size."""
-    rows = np.arange(height)[:, None]
-    cols = np.arange(width)[None, :]
-    even_row = rows % 2 == 0
-    even_col = cols % 2 == 0
-    red = even_row & even_col
-    blue = ~even_row & ~even_col
-    green = ~(red | blue)
-    return red, green, blue
+    channel = bayer_channel_index(height, width)
+    return channel == 0, channel == 1, channel == 2
 
 
 def mosaic(rgb: np.ndarray) -> np.ndarray:
@@ -48,23 +52,6 @@ def mosaic(rgb: np.ndarray) -> np.ndarray:
     raw[0::2, 1::2] = rgb[0::2, 1::2, 1]  # G
     raw[1::2, 0::2] = rgb[1::2, 0::2, 1]  # G
     raw[1::2, 1::2] = rgb[1::2, 1::2, 2]  # B
-    return raw
-
-
-def mosaic_batch(rgb: np.ndarray) -> np.ndarray:
-    """Subsample a stacked ``(B, H, W, 3)`` RGB batch to RGGB planes.
-
-    Pure strided assignment over the leading batch axis — each lane's
-    plane is bitwise identical to :func:`mosaic` of that lane alone.
-    """
-    if rgb.ndim != 4 or rgb.shape[3] != 3:
-        raise ValueError(f"expected (B, H, W, 3) RGB batch, got shape {rgb.shape}")
-    batch, height, width = rgb.shape[:3]
-    raw = np.empty((batch, height, width), dtype=rgb.dtype)
-    raw[:, 0::2, 0::2] = rgb[:, 0::2, 0::2, 0]  # R
-    raw[:, 0::2, 1::2] = rgb[:, 0::2, 1::2, 1]  # G
-    raw[:, 1::2, 0::2] = rgb[:, 1::2, 0::2, 1]  # G
-    raw[:, 1::2, 1::2] = rgb[:, 1::2, 1::2, 2]  # B
     return raw
 
 

@@ -213,7 +213,23 @@ class TestFacadeCache:
             track=track, case="case1", config=HilConfig()
         )
         assert document["kernel"] == kernel_identity_tag()
-        assert document["schema"] == 1
+        assert document["schema"] == 2
+
+    @pytest.mark.parametrize("library", ["numpy", "scipy"])
+    def test_library_upgrade_changes_the_key(self, library, monkeypatch):
+        """A numpy/scipy upgrade may move last-ulp results: new address."""
+        import importlib
+
+        from repro.hil.engine import HilConfig
+        from repro.sim import static_situation_track
+
+        track = static_situation_track(situation_by_index(1), length=40.0)
+        before = rollout_key_document(track=track, case="case1", config=HilConfig())
+        module = importlib.import_module(library)
+        monkeypatch.setattr(module, "__version__", module.__version__ + ".post1")
+        after = rollout_key_document(track=track, case="case1", config=HilConfig())
+        assert after["libraries"][library] == module.__version__
+        assert rollout_key(after) != rollout_key(before)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,17 @@ class TestBitIdentity:
         assert_results_equal(batched[0], _serial(track, "case2", plain))
         assert_results_equal(batched[1], _serial(track, "case2", plain))
 
+    def test_profiled_batch_spans_every_sensed_isp_cycle(self):
+        """The stacked ISP call reports one ``hil.isp`` item per lane-cycle."""
+        track = _track(length=60.0)
+        configs = [HilConfig(seed=s, profile=True, **FAST) for s in (2, 3, 4)]
+        batched = run_batch(configs, track=track, case="case2")
+        # No frame drops: every lane-cycle renders and runs the ISP.
+        sensed = sum(len(result.cycles) for result in batched)
+        stats = batched[0].profile
+        assert stats["hil.isp"].count == sensed
+        assert stats["hil.render"].count == sensed
+
 
 class TestFacades:
     def test_api_simulate_seed_sequence(self):

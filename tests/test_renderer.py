@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.situation import Scene, situation_by_index
+from repro.sim import renderer as rmod
 from repro.sim.camera import CameraModel
 from repro.sim.geometry import Pose2D
 from repro.sim.photometry import SCENE_PHOTOMETRY, photometry_for
-from repro.sim.renderer import RenderOptions, RoadSceneRenderer
+from repro.sim.renderer import RenderOptions, RoadSceneRenderer, render_raw_batch
 from repro.sim.sensor import add_sensor_noise, bayer_channel_masks, mosaic
 from repro.sim.world import static_situation_track
 
@@ -198,3 +199,74 @@ class TestRenderer:
         )
         pixel = lower_left[idx]
         assert pixel[0] > 2.0 * pixel[2]
+
+
+class TestRenderIdentity:
+    """RAW renders evaluate each pixel at its Bayer channel only.
+
+    That must be exactly the channel :func:`mosaic` keeps from the RGB
+    frame, and a batched lane must equal its serial twin bit for bit.
+    """
+
+    #: continuous, dotted, yellow, yellow double (straight), a right-turn
+    #: double and a left-turn dotted situation.
+    SITUATIONS = (1, 2, 3, 4, 10, 20)
+
+    @pytest.mark.parametrize("size", [(160, 80), (47, 23)])
+    @pytest.mark.parametrize("index", SITUATIONS)
+    def test_raw_is_mosaic_of_rgb(self, index, size):
+        track = static_situation_track(situation_by_index(index), length=120.0)
+        renderer = RoadSceneRenderer(
+            CameraModel(width=size[0], height=size[1]),
+            track,
+            options=RenderOptions(noise=False),
+        )
+        for s in (12.0, 31.5, 57.25):
+            pose = track.pose_at(s, 0.2)
+            for scene in Scene:
+                raw = renderer.render_raw(pose, scene)
+                expected = mosaic(renderer.render_rgb(pose, scene))
+                assert raw.dtype == expected.dtype
+                assert raw.tobytes() == expected.tobytes(), (index, s, scene)
+
+    @pytest.mark.parametrize("forms", [(0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2)])
+    def test_coverage_shortcuts_match_full_selection(self, forms):
+        """Skipping absent marking forms leaves every coverage bit alone."""
+        rng = np.random.default_rng(7)
+        n = 4096
+        delta = rng.uniform(-0.6, 0.6, n).astype(np.float32)
+        s = rng.uniform(0.0, 60.0, n).astype(np.float32)
+        lat_fp = rng.uniform(1e-3, 0.2, n).astype(np.float32)
+        fwd_fp = rng.uniform(1e-3, 2.0, n).astype(np.float32)
+        form = rng.choice(forms, n)
+        # Reference: evaluate every form everywhere, then select.
+        single = rmod._line_coverage(delta, rmod.MARK_HALF_WIDTH, lat_fp)
+        double = np.maximum(
+            rmod._line_coverage(
+                delta - rmod.DOUBLE_LINE_OFFSET, rmod.DOUBLE_LINE_HALF_WIDTH, lat_fp
+            ),
+            rmod._line_coverage(
+                delta + rmod.DOUBLE_LINE_OFFSET, rmod.DOUBLE_LINE_HALF_WIDTH, lat_fp
+            ),
+        )
+        lateral = np.where(form == 2, double, single)
+        full = lateral * np.where(form == 1, rmod._dash_coverage(s, fwd_fp), 1.0)
+        got = RoadSceneRenderer._marking_coverage(delta, s, form, lat_fp, fwd_fp)
+        assert got.dtype == full.dtype == np.float32
+        assert got.tobytes() == full.tobytes()
+
+    def test_batch_lanes_match_serial_twins(self, small_camera, dynamic_track):
+        seeds = (3, 4, 5, 6, 7)
+        batched = [RoadSceneRenderer(small_camera, dynamic_track, seed=s) for s in seeds]
+        serial = [RoadSceneRenderer(small_camera, dynamic_track, seed=s) for s in seeds]
+        # Explicit mixed scenes, then the track's own sectors (five
+        # different arc lengths of the Fig. 7 track).
+        for frame, scenes in enumerate((list(Scene), [None] * len(seeds))):
+            poses = [
+                dynamic_track.pose_at(40.0 + 190.0 * lane + 3.0 * frame, 0.1)
+                for lane in range(len(seeds))
+            ]
+            stacked = render_raw_batch(batched, poses, scenes)
+            for lane, (renderer, pose, scene) in enumerate(zip(serial, poses, scenes)):
+                alone = renderer.render_raw(pose, scene)
+                assert stacked[lane].tobytes() == alone.tobytes(), (frame, lane)
