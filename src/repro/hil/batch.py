@@ -12,7 +12,8 @@ cycle:
   over the shared per-situation photometry constants
   (:func:`repro.sim.renderer.render_raw_batch`);
 - **ISP** — lanes running the same configuration stack their RAW planes
-  through :meth:`repro.isp.pipeline.IspPipeline.process_batch`;
+  through :meth:`repro.isp.pipeline.IspPipeline.process_batch`, ISP
+  fault taps applied per lane;
 - **classifier** — lanes sharing a :class:`CnnIdentifier` run one
   stacked network forward (:meth:`CnnIdentifier.identify_batch`);
 - **perception** — lanes sharing (camera, ROI, threshold params) share
@@ -32,8 +33,8 @@ through ``HilEngine.run`` (see DESIGN.md for the invariance argument).
 Lanes leave the active set as soon as they crash, finish the track, or
 exhaust their step budget; the survivors keep batching until the last
 lane retires.  A lane whose cycle takes a fault path that has no
-batched equivalent (an ISP tap, non-null classifier outcomes) simply
-drops to the serial kernels for that cycle — correctness never depends
+batched equivalent (non-null classifier outcomes) simply drops to
+the serial kernels for that cycle — correctness never depends
 on batch composition.
 """
 
@@ -583,33 +584,26 @@ class BatchedHilEngine:
         sensing: List[int],
         raws: Dict[int, np.ndarray],
     ) -> Dict[int, np.ndarray]:
-        """Batched ISP per active configuration; RGB frame per lane."""
+        """Batched ISP per active configuration; RGB frame per lane.
+
+        Lanes with an active ISP fault ride in the same call: their taps
+        run per lane after each stage.
+        """
         rgbs: Dict[int, np.ndarray] = {}
         groups: Dict[tuple, List[int]] = {}
         for i in sensing:
-            tap = due[i].engine.injector.isp_tap(self._t_ms(due[i]))
-            if tap is not None:
-                # An active ISP tap fault has per-stage hooks the
-                # batched kernels cannot honour: serial path this cycle.
-                with profile("hil.isp"):
-                    rgbs[i] = due[i].engine._isp(pres[i].active_isp).process(
-                        raws[i], tap=tap
-                    )
-                continue
             groups.setdefault((pres[i].active_isp, raws[i].shape), []).append(i)
         for (isp_name, _), members in groups.items():
+            taps = [
+                due[i].engine.injector.isp_tap(self._t_ms(due[i])) for i in members
+            ]
             pipeline = due[members[0]].engine._isp(isp_name)
-            if len(members) == 1:
-                i = members[0]
-                with profile("hil.isp"):
-                    rgbs[i] = pipeline.process(raws[i])
-            else:
-                with profile("hil.isp", count=len(members)):
-                    batch_rgb = pipeline.process_batch(
-                        np.stack([raws[i] for i in members])
-                    )
-                for j, i in enumerate(members):
-                    rgbs[i] = batch_rgb[j]
+            with profile("hil.isp", count=len(members)):
+                batch_rgb = pipeline.process_batch(
+                    np.stack([raws[i] for i in members]), taps=taps
+                )
+            for j, i in enumerate(members):
+                rgbs[i] = batch_rgb[j]
         return rgbs
 
     def _classify(

@@ -2,23 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.isp.configs import IspConfig, isp_config
 from repro.isp.stages import (
     IspStage,
+    _demosaic,
     color_map,
-    color_map_batch,
-    demosaic,
-    demosaic_batch,
     denoise,
-    denoise_batch,
     gamut_map,
-    gamut_map_batch,
     tone_map,
-    tone_map_batch,
 )
 from repro.utils.profiling import profile
 
@@ -33,22 +28,19 @@ _STAGE_ORDER = (
     IspStage.TONE_MAP,
 )
 
+#: One leading-axis kernel per stage: a single frame is a batch of one.
 _STAGE_FN = {
+    IspStage.DEMOSAIC: _demosaic,
     IspStage.DENOISE: denoise,
     IspStage.COLOR_MAP: color_map,
     IspStage.GAMUT_MAP: gamut_map,
     IspStage.TONE_MAP: tone_map,
 }
 
-_STAGE_FN_BATCH = {
-    IspStage.DENOISE: denoise_batch,
-    IspStage.COLOR_MAP: color_map_batch,
-    IspStage.GAMUT_MAP: gamut_map_batch,
-    IspStage.TONE_MAP: tone_map_batch,
-}
-
 #: Profiler labels, precomputed so the hot loop does no string work.
 _STAGE_LABEL = {stage: f"isp.{stage.name.lower()}" for stage in _STAGE_ORDER}
+
+Tap = Callable[[str, np.ndarray], np.ndarray]
 
 
 class IspPipeline:
@@ -74,7 +66,7 @@ class IspPipeline:
         """The Table II name of the active configuration."""
         return self.config.name
 
-    def process(self, raw: np.ndarray, tap=None) -> np.ndarray:
+    def process(self, raw: np.ndarray, tap: Optional[Tap] = None) -> np.ndarray:
         """Transform a RAW Bayer plane into an RGB frame.
 
         The output domain depends on the configuration: with tone map it
@@ -90,43 +82,52 @@ class IspPipeline:
         corruption attaches here instead of branching inside the
         stages.
         """
-        with profile(_STAGE_LABEL[IspStage.DEMOSAIC]):
-            rgb = demosaic(raw)
-        if tap is not None:
-            rgb = tap(IspStage.DEMOSAIC.value, rgb)
-        for stage in _STAGE_ORDER[1:]:
-            if self.config.has(stage):
-                with profile(_STAGE_LABEL[stage]):
-                    rgb = _STAGE_FN[stage](rgb)
-                if tap is not None:
-                    rgb = tap(stage.value, rgb)
-        if tap is not None:
-            rgb = tap("output", rgb)
-        # Every stage output (demosaic included) is a fresh array owned
-        # by this call, so the final clip runs in place.
-        return np.clip(rgb, 0.0, 1.0, out=rgb)
+        if raw.ndim != 2:
+            raise ValueError(f"expected a 2-D Bayer plane, got shape {raw.shape}")
+        return self._run(raw[None], None if tap is None else (tap,))[0]
 
-    def process_batch(self, raw: np.ndarray) -> np.ndarray:
+    def process_batch(
+        self, raw: np.ndarray, taps: Optional[Sequence[Optional[Tap]]] = None
+    ) -> np.ndarray:
         """Transform stacked RAW planes ``(B, H, W)`` into ``(B, H, W, 3)``.
 
-        One batched kernel call per enabled stage; per-lane statistics
-        (white-balance gains, auto-exposure) reduce over each lane's own
-        trailing axes, so every lane is bit-identical to
-        :meth:`process` of that lane alone.  Profiler spans carry
-        ``count=B`` so per-frame means stay comparable with serial runs.
-        There is no ``tap`` seam here: lanes with an active ISP fault
-        tap must take the serial path (the batched driver does exactly
-        that).
+        Per-lane statistics (white-balance gains, auto-exposure) reduce
+        over each lane's own trailing axes, so every lane is
+        bit-identical to :meth:`process` of that lane alone.  *taps*
+        optionally gives one :meth:`process` tap (or ``None``) per lane.
         """
+        if raw.ndim != 3:
+            raise ValueError(f"expected (B, H, W) Bayer planes, got shape {raw.shape}")
+        return self._run(raw, taps)
+
+    def _run(
+        self, raw: np.ndarray, taps: Optional[Sequence[Optional[Tap]]]
+    ) -> np.ndarray:
+        # One kernel call per enabled stage for the whole batch; spans
+        # carry count=B so per-frame means compare across batch sizes.
         batch = raw.shape[0]
-        with profile(_STAGE_LABEL[IspStage.DEMOSAIC], count=batch):
-            rgb = demosaic_batch(raw)
-        for stage in _STAGE_ORDER[1:]:
+        rgb = raw
+        for stage in _STAGE_ORDER:
             if self.config.has(stage):
                 with profile(_STAGE_LABEL[stage], count=batch):
-                    rgb = _STAGE_FN_BATCH[stage](rgb)
+                    rgb = _STAGE_FN[stage](rgb)
+                _apply_taps(stage.value, rgb, taps)
+        _apply_taps("output", rgb, taps)
+        # Every stage output is a fresh array owned by this call, so the
+        # final clip runs in place.
         return np.clip(rgb, 0.0, 1.0, out=rgb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         stages = "+".join(s.value for s in self.config.stages)
         return f"IspPipeline({self.config.name}: {stages})"
+
+
+def _apply_taps(
+    label: str, rgb: np.ndarray, taps: Optional[Sequence[Optional[Tap]]]
+) -> None:
+    """Replace each tapped lane of *rgb* by its tap's frame, in place."""
+    if taps is None:
+        return
+    for lane, tap in enumerate(taps):
+        if tap is not None:
+            rgb[lane] = tap(label, rgb[lane])

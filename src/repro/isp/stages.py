@@ -15,7 +15,6 @@ otherwise.  The stage set matches [8], [12] (Buckler et al.'s
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from enum import Enum
 
 import numpy as np
@@ -26,21 +25,16 @@ from repro.utils.scratch import ScratchCache
 __all__ = [
     "IspStage",
     "demosaic",
-    "demosaic_batch",
     "denoise",
-    "denoise_batch",
     "color_map",
-    "color_map_batch",
     "gamut_map",
-    "gamut_map_batch",
     "tone_map",
-    "tone_map_batch",
 ]
 
-#: Reusable per-shape temporaries for the stage hot paths (masked
-#: planes, convolution outputs, exposure buffers).  Everything drawn
-#: from here is consumed before the stage returns — stage *outputs*
-#: are always fresh arrays because they escape to the caller.
+#: Reusable per-shape temporaries for the stage hot paths (balanced
+#: and exposed frames).  Everything drawn from here is consumed before
+#: the stage returns — stage *outputs* are always fresh arrays because
+#: they escape to the caller.
 _SCRATCH = ScratchCache(max_entries=24)
 
 
@@ -54,118 +48,106 @@ class IspStage(str, Enum):
     TONE_MAP = "TM"
 
 
-# Bilinear demosaic kernels (normalized at application time by the
-# convolved channel mask, which handles borders exactly).
-_KERNEL_G = np.array([[0, 1, 0], [1, 4, 1], [0, 1, 0]], dtype=np.float32)
-_KERNEL_RB = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.float32)
+# Neighbour taps ``(drow, dcol)`` of the bilinear demosaic, each in the
+# row-major order of its 3x3 convolution kernel.
+_CROSS = ((-1, 0), (0, -1), (0, 1), (1, 0))
+_DIAGONAL = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+_ROW = ((0, -1), (0, 1))
+_COLUMN = ((-1, 0), (1, 0))
 
-# The channel masks and their convolved normalizers only depend on the
-# frame shape; cache them per resolution.  The cache is LRU-bounded so
-# a long sweep over many resolutions (each table set is ~6 full frames
-# of float32) cannot grow it without limit.
-_DEMOSAIC_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_DEMOSAIC_CACHE_MAX = 8
-
-
-def _demosaic_tables(height: int, width: int):
-    key = (height, width)
-    cached = _DEMOSAIC_CACHE.get(key)
-    if cached is not None:
-        _DEMOSAIC_CACHE.move_to_end(key)
-        return cached
-    rows = np.arange(height)[:, None]
-    cols = np.arange(width)[None, :]
-    even_row = rows % 2 == 0
-    even_col = cols % 2 == 0
-    masks = (
-        (even_row & even_col).astype(np.float32),       # R
-        (even_row ^ even_col).astype(np.float32),       # G
-        (~even_row & ~even_col).astype(np.float32),     # B
-    )
-    inv_norms = []
-    for channel, mask in enumerate(masks):
-        kernel = _KERNEL_G if channel == 1 else _KERNEL_RB
-        den = ndimage.convolve(mask, kernel, mode="mirror")
-        inv_norms.append((1.0 / np.maximum(den, 1e-6)).astype(np.float32))
-    tables = (masks, tuple(inv_norms))
-    while len(_DEMOSAIC_CACHE) >= _DEMOSAIC_CACHE_MAX:
-        _DEMOSAIC_CACHE.popitem(last=False)
-    _DEMOSAIC_CACHE[key] = tables
-    return tables
+#: The four RGGB parity classes: ``(row parity, column parity, own
+#: channel, ((missing channel, taps, tap weight), ...))``.  The weights
+#: are those of the G kernel ``[[0,1,0],[1,4,1],[0,1,0]]`` and the R/B
+#: kernel ``[[1,2,1],[2,4,2],[1,2,1]]``; every pixel's sampled taps sum
+#: to 4 in both.
+_BAYER_SITES = (
+    (0, 0, 0, ((1, _CROSS, 1.0), (2, _DIAGONAL, 1.0))),  # R
+    (0, 1, 1, ((0, _ROW, 2.0), (2, _COLUMN, 2.0))),      # G on an R row
+    (1, 0, 1, ((0, _COLUMN, 2.0), (2, _ROW, 2.0))),      # G on a B row
+    (1, 1, 2, ((0, _DIAGONAL, 1.0), (1, _CROSS, 1.0))),  # B
+)
 
 
 def demosaic(raw: np.ndarray) -> np.ndarray:
-    """Bilinear demosaic of an RGGB Bayer plane to ``(H, W, 3)`` RGB."""
+    """Bilinear demosaic of an RGGB Bayer plane to ``(H, W, 3)`` RGB.
+
+    One plane only: a stacked ``(B, H, W)`` batch has the shape of an
+    RGB image, so batches go through :meth:`IspPipeline.process_batch`
+    (the same kernel, :func:`_demosaic`).
+    """
     if raw.ndim != 2:
         raise ValueError(f"expected a 2-D Bayer plane, got shape {raw.shape}")
-    raw32 = np.ascontiguousarray(raw, dtype=np.float32)
-    height, width = raw32.shape
-    masks, inv_norms = _demosaic_tables(height, width)
-
-    # Masked plane and convolution output cycle through scratch (same
-    # values as the allocating form; both are consumed per channel).
-    masked = _SCRATCH.get("demosaic-masked", raw32.shape)
-    num = _SCRATCH.get("demosaic-num", raw32.shape)
-    rgb = np.empty((height, width, 3), dtype=np.float32)
-    for channel, (mask, inv_norm) in enumerate(zip(masks, inv_norms)):
-        kernel = _KERNEL_G if channel == 1 else _KERNEL_RB
-        np.multiply(raw32, mask, out=masked)
-        ndimage.convolve(masked, kernel, mode="mirror", output=num)
-        np.multiply(num, inv_norm, out=rgb[..., channel])
-    return rgb
+    return _demosaic(raw)
 
 
-def demosaic_batch(raw: np.ndarray) -> np.ndarray:
-    """Bilinear demosaic of stacked Bayer planes ``(B, H, W)``.
+def _demosaic(raw: np.ndarray) -> np.ndarray:
+    """Bilinear demosaic of RGGB planes ``(..., H, W)`` to ``(..., H, W, 3)``.
 
-    One convolution call per channel for the whole batch; the kernel
-    gains a length-1 batch axis, so no filter tap ever crosses lanes
-    and each lane matches :func:`demosaic` bit for bit.
+    Each parity class copies its own channel and averages 2 or 4
+    neighbours of a mirror-padded plane for the two it lacks.  This is
+    bit for bit the normalised convolution ``conv(raw * mask, kernel)
+    / conv(mask, kernel)`` with ``mode="mirror"``: a mirror about the
+    edge pixel preserves Bayer parity, so the normaliser is exactly 4
+    at every pixel (borders and odd sizes included), and the taps are
+    summed in float64 in the convolution's tap order (masked taps add
+    ``+0.0``), rounded to float32 and scaled by ``float32(0.25)``.
     """
-    if raw.ndim != 3:
-        raise ValueError(f"expected (B, H, W) Bayer planes, got shape {raw.shape}")
-    raw32 = np.ascontiguousarray(raw, dtype=np.float32)
-    batch, height, width = raw32.shape
-    masks, inv_norms = _demosaic_tables(height, width)
-
-    masked = _SCRATCH.get("demosaic-masked", raw32.shape)
-    num = _SCRATCH.get("demosaic-num", raw32.shape)
-    rgb = np.empty((batch, height, width, 3), dtype=np.float32)
-    for channel, (mask, inv_norm) in enumerate(zip(masks, inv_norms)):
-        kernel = _KERNEL_G if channel == 1 else _KERNEL_RB
-        np.multiply(raw32, mask, out=masked)
-        ndimage.convolve(masked, kernel[None], mode="mirror", output=num)
-        np.multiply(num, inv_norm, out=rgb[..., channel])
+    raw32 = np.asarray(raw, dtype=np.float32)
+    *lead, height, width = raw32.shape
+    if height < 2 or width < 2:
+        raise ValueError(f"a Bayer plane needs at least 2x2 pixels, got {raw32.shape}")
+    rgb = np.empty((*lead, height, width, 3), dtype=np.float32)
+    # Double precision is the convolution's accumulator.  Planes go one
+    # at a time so the padded plane stays in cache (a stacked 16-frame
+    # 384x192 plane does not, and runs ~3x slower per frame).
+    padded = np.empty((height + 2, width + 2), dtype=np.float64)  # reprolint: disable=PRF001
+    inner = padded[1:-1, 1:-1]
+    for plane, out in zip(
+        raw32.reshape(-1, height, width), rgb.reshape(-1, height, width, 3)
+    ):
+        # Adding 0.0 maps -0.0 to the +0.0 a zero-started sum yields.
+        np.add(plane, np.float32(0.0), out=inner)
+        padded[0] = padded[2]
+        padded[-1] = padded[-3]
+        padded[:, 0] = padded[:, 2]
+        padded[:, -1] = padded[:, -3]
+        for row, col, own, fills in _BAYER_SITES:
+            rows = slice(row, None, 2)
+            cols = slice(col, None, 2)
+            out[rows, cols, own] = inner[rows, cols]
+            n_rows = len(range(row, height, 2))
+            n_cols = len(range(col, width, 2))
+            for channel, taps, weight in fills:
+                first, *rest = (
+                    padded[
+                        1 + row + drow : 1 + row + drow + 2 * n_rows : 2,
+                        1 + col + dcol : 1 + col + dcol + 2 * n_cols : 2,
+                    ]
+                    for drow, dcol in taps
+                )
+                acc = first.copy()
+                for tap in rest:
+                    acc += tap
+                site = out[rows, cols, channel]
+                np.multiply(acc, weight, out=site)
+                site *= np.float32(0.25)
     return rgb
 
 
 def denoise(rgb: np.ndarray, sigma: float = 0.8) -> np.ndarray:
-    """Gaussian denoise with a small spatial kernel (per channel)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    out = np.empty_like(rgb)
-    for channel in range(rgb.shape[2]):
-        ndimage.gaussian_filter(
-            rgb[..., channel], sigma=sigma, output=out[..., channel], mode="nearest"
-        )
-    return out
+    """Gaussian denoise with a small spatial kernel (per channel).
 
-
-def denoise_batch(rgb: np.ndarray, sigma: float = 0.8) -> np.ndarray:
-    """Gaussian denoise of a ``(B, H, W, 3)`` batch (per channel).
-
-    ``sigma=(0, s, s)`` skips the batch axis entirely, so each lane's
-    smoothing equals the 2-D :func:`denoise` of that lane.
+    Accepts ``(H, W, 3)`` or a stacked ``(..., H, W, 3)`` batch: a zero
+    sigma on every leading axis skips it, so each frame's smoothing is
+    the 2-D filter of that frame alone.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
+    sigmas = (0.0,) * (rgb.ndim - 3) + (sigma, sigma)
     out = np.empty_like(rgb)
-    for channel in range(rgb.shape[3]):
+    for channel in range(rgb.shape[-1]):
         ndimage.gaussian_filter(
-            rgb[..., channel],
-            sigma=(0.0, sigma, sigma),
-            output=out[..., channel],
-            mode="nearest",
+            rgb[..., channel], sigma=sigmas, output=out[..., channel], mode="nearest"
         )
     return out
 
@@ -192,34 +174,18 @@ def color_map(rgb: np.ndarray, confidence_knee: float = 0.08) -> np.ndarray:
     noise, so — as production ISPs do — the correction is faded toward
     identity with a confidence factor proportional to the frame's mean
     level (fully off below ``confidence_knee`` of full scale).
+
+    Accepts ``(H, W, 3)`` or a stacked ``(..., H, W, 3)`` batch; every
+    statistic reduces over one frame's own pixels.  The confidence is
+    computed in double precision and the gains in float32; the golden
+    traces depend on both precisions.
     """
-    means = rgb.reshape(-1, 3).mean(axis=0)
-    overall = float(means.mean())
-    confidence = np.float32(np.clip(overall / confidence_knee, 0.0, 1.0))
-    gains = overall / np.maximum(means, 1e-6)
-    gains = np.clip(gains, 0.5, 2.0).astype(np.float32)
-    eye = np.eye(3, dtype=np.float32)
-    ccm = confidence * _CCM + (1.0 - confidence) * eye
-    balanced = _SCRATCH.get("colormap-balanced", rgb.shape, rgb.dtype)
-    np.multiply(rgb, confidence * gains + (np.float32(1.0) - confidence), out=balanced)
-    return balanced @ ccm.T
-
-
-def color_map_batch(rgb: np.ndarray, confidence_knee: float = 0.08) -> np.ndarray:
-    """White balance + CCM of a ``(B, H, W, 3)`` batch, per-lane stats.
-
-    The per-lane gray-world statistics replicate the serial scalar
-    promotion exactly: :func:`color_map` computes confidence from the
-    Python float ``overall`` (double precision), while its gains stay in
-    float32 because NEP 50 demotes the Python scalar against the float32
-    means.  Widening only the confidence term reproduces both.
-    """
-    batch = rgb.shape[0]
-    means = rgb.reshape(batch, -1, 3).mean(axis=1)
+    frames = rgb.reshape((-1,) + rgb.shape[-3:])
+    batch = frames.shape[0]
+    means = frames.reshape(batch, -1, 3).mean(axis=1)
     overall = means.mean(axis=1)
     confidence = np.clip(
-        # The serial stage divides a Python float: double precision by
-        # NEP 50, so the batch must widen before dividing.
+        # Double precision, as the golden traces were recorded.
         overall.astype(np.float64) / confidence_knee,  # reprolint: disable=PRF001
         0.0,
         1.0,
@@ -232,44 +198,40 @@ def color_map_batch(rgb: np.ndarray, confidence_knee: float = 0.08) -> np.ndarra
         + (np.float32(1.0) - confidence)[:, None, None] * eye
     )
     scale = confidence[:, None] * gains + (np.float32(1.0) - confidence)[:, None]
-    balanced = _SCRATCH.get("colormap-balanced", rgb.shape, rgb.dtype)
-    np.multiply(rgb, scale[:, None, None, :], out=balanced)
-    out = np.empty_like(rgb)
+    balanced = _SCRATCH.get("colormap-balanced", frames.shape, frames.dtype)
+    np.multiply(frames, scale[:, None, None, :], out=balanced)
+    out = np.empty_like(frames)
     for lane in range(batch):
-        # (H*W, 3) @ (3, 3) per lane: the batched-matmul kernel choice
-        # differs from the serial one, so lanes multiply one at a time
-        # into views of the output (bit-identical, still one big op).
+        # (H, W, 3) @ (3, 3) per frame: a matmul over stacked frames
+        # picks a different kernel, which is not bit-identical.
         np.matmul(balanced[lane], ccm[lane].T, out=out[lane])
-    return out
+    return out.reshape(rgb.shape)
 
 
 def gamut_map(rgb: np.ndarray, knee: float = 0.85) -> np.ndarray:
     """Soft-compress out-of-gamut values, then clip into [0, 1].
 
     Values above *knee* are rolled off smoothly so saturated lane
-    markings keep local contrast instead of flat-clipping.
+    markings keep local contrast instead of flat-clipping.  Purely
+    elementwise, so any leading batch axes flow through.  The roll-off
+    runs only on the values above the knee (a gather and a scatter on
+    the clipped copy), each element through the same float ops as the
+    full-array form.
     """
     if not 0.0 < knee < 1.0:
         raise ValueError(f"knee must be in (0, 1), got {knee}")
-    x = _SCRATCH.get("gamut-clipped", rgb.shape, rgb.dtype)
-    np.clip(rgb, 0.0, None, out=x)
+    x = np.clip(rgb, 0.0, None, out=np.empty(rgb.shape, rgb.dtype))
+    flat = x.reshape(-1)
+    above = np.flatnonzero(flat > knee)
     span = 1.0 - knee
-    compressed = _SCRATCH.get("gamut-compressed", rgb.shape, rgb.dtype)
-    np.subtract(x, knee, out=compressed)
+    compressed = flat[above]
+    compressed -= knee
     compressed /= span
     np.tanh(compressed, out=compressed)
     compressed *= span
     compressed += knee
-    return np.where(x > knee, compressed, x).astype(np.float32)
-
-
-def gamut_map_batch(rgb: np.ndarray, knee: float = 0.85) -> np.ndarray:
-    """Gamut compression of a ``(B, H, W, 3)`` batch.
-
-    :func:`gamut_map` is purely elementwise, so the batch simply flows
-    through it; this alias only documents the batched entry point.
-    """
-    return gamut_map(rgb, knee=knee)
+    flat[above] = compressed
+    return x.astype(np.float32, copy=False)
 
 
 def tone_map(
@@ -285,46 +247,25 @@ def tone_map(
     power curve.  For a daylight frame the gain is ~1 and the stage only
     gamma-encodes; for night/dark frames the gain is what makes lane
     markings separable by thresholding.
+
+    Accepts ``(H, W, 3)`` or a stacked ``(..., H, W, 3)`` batch with one
+    gain per frame.  The luma projection runs per frame (gemv and gemm
+    accumulate differently) and the gain is derived in double precision
+    (the golden traces depend on both).
     """
     if target_mean <= 0 or max_gain < 1 or gamma <= 0:
         raise ValueError("invalid tone-map parameters")
-    luma = rgb @ np.array([0.299, 0.587, 0.114], dtype=np.float32)
-    mean = float(luma.mean())
-    gain = np.float32(np.clip(target_mean / max(mean, 1e-6), 1.0, max_gain))
-    exposed = _SCRATCH.get("tonemap-exposed", rgb.shape, rgb.dtype)
-    np.multiply(rgb, gain, out=exposed)
-    np.clip(exposed, 0.0, 1.0, out=exposed)
-    return np.power(exposed, np.float32(1.0 / gamma))
-
-
-def tone_map_batch(
-    rgb: np.ndarray,
-    target_mean: float = 0.40,
-    max_gain: float = 8.0,
-    gamma: float = 2.2,
-) -> np.ndarray:
-    """Auto-exposure + gamma of a ``(B, H, W, 3)`` batch, per-lane gain.
-
-    The luma projection runs per lane (gemv and gemm accumulate
-    differently); the gain is computed in double precision because the
-    serial stage derives it from the Python float ``mean``.
-    """
-    if target_mean <= 0 or max_gain < 1 or gamma <= 0:
-        raise ValueError("invalid tone-map parameters")
-    batch = rgb.shape[0]
+    frames = rgb.reshape((-1,) + rgb.shape[-3:])
+    batch = frames.shape[0]
     weights = np.array([0.299, 0.587, 0.114], dtype=np.float32)
-    luma = np.empty(rgb.shape[:3], dtype=np.float32)
+    luma = np.empty(frames.shape[:3], dtype=np.float32)
     for lane in range(batch):
-        np.matmul(rgb[lane], weights, out=luma[lane])
-    means = (
-        # Serial derives the gain from a Python float (double); widen
-        # the per-lane means the same way before the clip.
-        luma.reshape(batch, -1).mean(axis=1).astype(np.float64)  # reprolint: disable=PRF001
-    )
+        np.matmul(frames[lane], weights, out=luma[lane])
+    means = luma.reshape(batch, -1).mean(axis=1).astype(np.float64)  # reprolint: disable=PRF001
     gain = np.clip(target_mean / np.maximum(means, 1e-6), 1.0, max_gain).astype(
         np.float32
     )
-    exposed = _SCRATCH.get("tonemap-exposed", rgb.shape, rgb.dtype)
-    np.multiply(rgb, gain[:, None, None, None], out=exposed)
+    exposed = _SCRATCH.get("tonemap-exposed", frames.shape, frames.dtype)
+    np.multiply(frames, gain[:, None, None, None], out=exposed)
     np.clip(exposed, 0.0, 1.0, out=exposed)
-    return np.power(exposed, np.float32(1.0 / gamma))
+    return np.power(exposed, np.float32(1.0 / gamma)).reshape(rgb.shape)

@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence, Union
 import numpy as np
 
 from repro.utils.contracts import check_shapes
+from repro.utils.profiling import profile
 from repro.perception.bev import BevGrid
 from repro.perception.lane_fit import LaneFit, fit_lane_lines
 from repro.perception.roi import RoiPreset, roi_preset
@@ -141,8 +142,10 @@ class PerceptionPipeline:
         Hints expire after :data:`MAX_HINT_MISSES` consecutive misses.
         """
         grid = self._grid()
-        bev = grid.warp(frame_rgb)
-        mask = dynamic_threshold(bev, self.threshold_params, valid=grid.inside)
+        with profile("pr.warp"):
+            bev = grid.warp(frame_rgb)
+        with profile("pr.threshold"):
+            mask = dynamic_threshold(bev, self.threshold_params, valid=grid.inside)
         return self._finish_mask(mask, grid)
 
     def _finish_mask(self, mask: np.ndarray, grid: BevGrid) -> PerceptionResult:
@@ -152,16 +155,18 @@ class PerceptionPipeline:
         mask for many lanes in one call and finishes each lane here.
         """
         hints = self._hints if self.temporal_tracking else None
-        pixels = find_lane_pixels(
-            mask, grid.lateral_resolution, self.window_params, base_hints=hints
-        )
-        fit = fit_lane_lines(
-            pixels,
-            grid.x_axis,
-            grid.lat_axis,
-            lane_width=self.window_params.lane_width,
-            require_both_lines=self.require_both_lines,
-        )
+        with profile("pr.window"):
+            pixels = find_lane_pixels(
+                mask, grid.lateral_resolution, self.window_params, base_hints=hints
+            )
+        with profile("pr.fit"):
+            fit = fit_lane_lines(
+                pixels,
+                grid.x_axis,
+                grid.lat_axis,
+                lane_width=self.window_params.lane_width,
+                require_both_lines=self.require_both_lines,
+            )
         if self.temporal_tracking:
             self._update_hints(fit, grid)
         return self.measurement_from_fit(fit)
@@ -231,8 +236,10 @@ def process_batch(
         lead = pipelines[lanes[0]]
         grid = lead._grid()
         stack = np.stack([frames[i] for i in lanes])
-        bev = grid.warp_batch(stack)
-        masks = dynamic_threshold(bev, lead.threshold_params, valid=grid.inside)
+        with profile("pr.warp", count=len(lanes)):
+            bev = grid.warp_batch(stack)
+        with profile("pr.threshold", count=len(lanes)):
+            masks = dynamic_threshold(bev, lead.threshold_params, valid=grid.inside)
         for j, i in enumerate(lanes):
             pipe = pipelines[i]
             results[i] = pipe._finish_mask(masks[j], pipe._grid())

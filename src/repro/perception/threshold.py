@@ -83,10 +83,10 @@ def _nanmedian_cols(stack: np.ndarray, n: "np.ndarray | None" = None) -> np.ndar
     """NaN-aware median over the last axis, ``keepdims`` style.
 
     Hand-vectorized replacement for ``np.nanmedian(stack, axis=-1,
-    keepdims=True)`` on stacked ``(B, H, W)`` batches: one ``np.sort``
-    (NaNs order last) plus two gathers, instead of numpy's masked-array
-    machinery whose per-element constants dominate batched-sweep
-    profiles.  Bit-identical because the median is either the middle
+    keepdims=True)`` on ``(H, W)`` channels and stacked ``(B, H, W)``
+    batches alike: one ``np.sort`` (NaNs order last) plus two gathers,
+    instead of numpy's masked-array machinery whose per-element
+    constants dominate the threshold's profile.  Bit-identical because the median is either the middle
     order statistic exactly (``(a + a) / 2 == a``) or the same
     mean-of-two-middles numpy computes, in the input dtype.
 
@@ -118,23 +118,17 @@ def _robust_mask(
     # would fool a single global threshold.  Cells outside the camera
     # frame (warp zeros) are excluded from the statistics.  The last
     # axis is the column axis for both a single (H, W) channel and a
-    # stacked (B, H, W) batch, so one reduction spec serves both; the
-    # stacked branch swaps np.nanmedian for the vectorized kernel.
+    # stacked (B, H, W) batch, so one reduction serves both.
     if valid is not None:
         masked = np.where(valid, channel, np.nan)
-        if channel.ndim == 3:
-            # |masked - median| keeps NaNs exactly where masked has
-            # them (an all-NaN row stays all-NaN), so one count serves
-            # both medians.
-            n = channel.shape[-1] - np.count_nonzero(
-                np.isnan(masked), axis=-1, keepdims=True
-            )
-            median = _nanmedian_cols(masked, n)
-            mad = _nanmedian_cols(np.abs(masked - median), n)
-        else:
-            with np.errstate(all="ignore"):
-                median = np.nanmedian(masked, axis=-1, keepdims=True)
-                mad = np.nanmedian(np.abs(masked - median), axis=-1, keepdims=True)
+        # |masked - median| keeps NaNs exactly where masked has them
+        # (an all-NaN row stays all-NaN), so one count serves both
+        # medians.
+        n = channel.shape[-1] - np.count_nonzero(
+            np.isnan(masked), axis=-1, keepdims=True
+        )
+        median = _nanmedian_cols(masked, n)
+        mad = _nanmedian_cols(np.abs(masked - median), n)
         median = np.nan_to_num(median)
         mad = np.nan_to_num(mad)
     else:

@@ -126,6 +126,12 @@ class TestHilEngine:
         # Off by default: the disabled path reports nothing.
         assert _run("case4", length=60.0)[0].profile_table() == ""
 
+    def test_profile_splits_perception_into_substages(self):
+        result, _ = _run("case4", length=60.0, profile=True)
+        pr = result.profile["hil.pr"].count
+        for label in ("pr.warp", "pr.threshold", "pr.window", "pr.fit"):
+            assert result.profile[label].count == pr
+
 
 class TestIspApplyLag:
     """End-to-end regression for the ISP apply-lag phase contract."""

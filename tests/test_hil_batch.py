@@ -124,6 +124,29 @@ class TestBitIdentity:
         stats = batched[0].profile
         assert stats["hil.isp"].count == sensed
         assert stats["hil.render"].count == sensed
+        for label in ("pr.warp", "pr.threshold", "pr.window", "pr.fit"):
+            assert stats[label].count == stats["hil.pr"].count
+
+    def test_isp_fault_lanes_share_the_batched_call(self):
+        """ISP taps run per lane inside the stacked ISP call."""
+        track = _track(length=60.0)
+        plans = (
+            "isp_corruption@100:500,stage=GM,strength=0.3",
+            "isp_corruption@300:900,stage=output,strength=0.2",
+            "",
+        )
+        configs = [
+            HilConfig(seed=3, profile=True, fault_plan=FaultPlan.parse(plan), **FAST)
+            for plan in plans
+        ]
+        batched = run_batch(configs, track=track, case="case2")
+        for plan, cfg, result in zip(plans, configs, batched):
+            assert any(c.faults for c in result.cycles) == bool(plan)
+            # S0 runs every stage, so the GM tap fires too.
+            assert {c.active_isp for c in result.cycles} == {"S0"}
+            assert_results_equal(result, _serial(track, "case2", cfg))
+        sensed = sum(len(result.cycles) for result in batched)
+        assert batched[0].profile["hil.isp"].count == sensed
 
 
 class TestFacades:

@@ -390,6 +390,35 @@ class TestPerceptionPipeline:
         )
 
 
+def _reference_threshold(bev_rgb, params, valid):
+    """:func:`dynamic_threshold` with ``np.nanmedian`` row statistics."""
+    import warnings
+
+    from scipy import ndimage
+
+    from repro.perception.threshold import brightness_channels
+
+    def robust_mask(channel, z_threshold):
+        masked = np.where(valid, channel, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            median = np.nanmedian(masked, axis=-1, keepdims=True)
+            mad = np.nanmedian(np.abs(masked - median), axis=-1, keepdims=True)
+        scale = np.maximum(1.4826 * np.nan_to_num(mad), params.min_scale)
+        return ((channel - np.nan_to_num(median)) / scale > z_threshold) & valid
+
+    white, yellow = brightness_channels(bev_rgb)
+    mask = (robust_mask(white, params.z_white) & (white > params.min_brightness)) | (
+        robust_mask(yellow, params.z_yellow)
+        & (np.maximum(bev_rgb[..., 0], bev_rgb[..., 1]) > params.min_brightness)
+    )
+    if params.min_neighbours > 0:
+        kernel = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)
+        neighbours = ndimage.convolve(mask.astype(np.uint8), kernel, mode="constant")
+        mask &= neighbours >= params.min_neighbours
+    return mask
+
+
 class TestBatchedKernels:
     """Bitwise equality of the stacked perception kernels vs serial."""
 
@@ -434,6 +463,26 @@ class TestBatchedKernels:
             assert np.array_equal(
                 np.nan_to_num(got, nan=-1e9), np.nan_to_num(expected, nan=-1e9)
             )
+
+    def test_serial_threshold_matches_nanmedian_reference(
+        self, small_camera, day_track, rng
+    ):
+        """Serial masks equal the ``np.nanmedian`` formulation exactly."""
+        frames = self._frames(small_camera, day_track)
+        grid = BevGrid(small_camera, roi_preset("ROI 2"), n_rows=32, n_cols=48)
+        valid = grid.inside.copy()
+        valid[3] = False  # an all-NaN row
+        valid[5, ::3] = False  # a row with extra NaNs
+        bevs = list(grid.warp_batch(frames))
+        noisy = rng.random((32, 48, 3), dtype=np.float32)
+        noisy[:, 20:22] = 0.95
+        for bev in bevs + [noisy]:
+            for params in (ThresholdParams(), ThresholdParams(min_neighbours=0)):
+                want = _reference_threshold(bev, params, valid)
+                assert np.array_equal(dynamic_threshold(bev, params, valid=valid), want)
+                stacked = dynamic_threshold(bev[None], params, valid=valid)
+                assert stacked.shape == (1,) + want.shape
+                assert np.array_equal(stacked[0], want)
 
     def test_dynamic_threshold_batch_bitwise(self, small_camera, day_track):
         frames = self._frames(small_camera, day_track)
