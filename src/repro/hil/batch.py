@@ -1,12 +1,13 @@
-"""Batched lock-step rollout engine.
+"""The closed-loop rollout engine: lock-step lanes, batched kernels.
 
-Sweeps (Table III characterization, Monte-Carlo studies) evaluate many
-*independent* closed-loop rollouts whose per-cycle cost is dominated by
-numpy dispatch overhead, not arithmetic.  :class:`BatchedHilEngine`
-advances B rollouts ("lanes") in lock step — lanes advance their own
-5 ms plant steps and rendezvous at control cycles — and funnels the
-three hot sensing stages through single batched kernel calls per
-cycle:
+Every closed-loop run goes through :class:`BatchedHilEngine`; a serial
+``HilEngine.run`` is a batch of one lane.  Sweeps (Table III
+characterization, Monte-Carlo studies) evaluate many *independent*
+rollouts whose per-cycle cost is dominated by numpy dispatch overhead,
+not arithmetic, so the engine advances B rollouts ("lanes") in lock
+step — lanes advance their own 5 ms plant steps and rendezvous at
+control cycles — and funnels the hot sensing stages through single
+leading-axis kernel calls per cycle:
 
 - **render** — lanes sharing (track, camera, options) stack their poses
   over the shared per-situation photometry constants
@@ -22,20 +23,20 @@ cycle:
 
 Between cycles, lanes sharing a plant configuration advance their
 5 ms steps as one stacked cohort (:meth:`Vehicle.step_batch` +
-:meth:`Track.frenet_batch`).  Everything else — controller,
-reconfiguration manager, fault injection, RNG draws — is each lane's
-own serial Python, executed through the exact seam methods of
-:class:`repro.hil.engine.HilEngine`.  Batching happens over the leading
-axis only and per-lane reduction orders are unchanged, so every lane's
-:class:`HilResult` trace is bit-identical to running that lane alone
-through ``HilEngine.run`` (see DESIGN.md for the invariance argument).
+:meth:`Track.frenet_batch`) — the only plant loop in :mod:`repro.hil`.
+Everything else — controller, reconfiguration manager, fault
+injection, RNG draws — is each lane's own Python, executed through the
+cycle seam methods of :class:`repro.hil.engine.HilEngine`.  Batching
+happens over the leading axis only and per-lane reduction orders are
+unchanged, so every lane's :class:`HilResult` trace is invariant to
+batch composition: bit-identical to running that lane alone (see
+DESIGN.md for the invariance argument).
 
 Lanes leave the active set as soon as they crash, finish the track, or
 exhaust their step budget; the survivors keep batching until the last
-lane retires.  A lane whose cycle takes a fault path that has no
-batched equivalent (non-null classifier outcomes) simply drops to
-the serial kernels for that cycle — correctness never depends
-on batch composition.
+lane retires.  A lane whose cycle takes a fault path with no batched
+equivalent (non-null classifier outcomes) calls its own identifier for
+that cycle — correctness never depends on batch composition.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from repro.sim.geometry import Pose2D
 from repro.sim.renderer import render_raw_batch
 from repro.sim.track import Track
 from repro.sim.vehicle import Vehicle, VehicleState
+from repro.telemetry import build_manifest
 from repro.telemetry import recorder as telemetry
 from repro.utils import profiling
 from repro.utils.profiling import profile
@@ -69,29 +71,62 @@ __all__ = ["BatchedHilEngine", "run_batch"]
 
 @dataclass
 class _Lane:
-    """Mutable per-lane rollout state (one serial run's loop variables)."""
+    """Mutable per-lane rollout state: the step loop's variables."""
 
     engine: HilEngine
     vehicle: object
     n_steps: int
+    s_hint: float
     controller: Optional[LaneKeepingController] = None
     step: int = 0
     control_due: int = 0
-    pending: list = field(default_factory=list)
+    pending: list = field(default_factory=list)  # (apply_step, command) in flight
     current_u: float = 0.0
-    s_hint: float = 0.0
     crashed: bool = False
     crash_s: Optional[float] = None
     completed: bool = False
     recorded: int = 0
     cycles: list = field(default_factory=list)
-    times: np.ndarray = None  # type: ignore[assignment]
-    s_arr: np.ndarray = None  # type: ignore[assignment]
-    d_arr: np.ndarray = None  # type: ignore[assignment]
-    y_arr: np.ndarray = None  # type: ignore[assignment]
-    steer_arr: np.ndarray = None  # type: ignore[assignment]
-    speed_arr: np.ndarray = None  # type: ignore[assignment]
     active: bool = True
+
+    def __post_init__(self):
+        n = self.n_steps
+        self.times = np.zeros(n)
+        self.s_arr = np.zeros(n)
+        self.d_arr = np.zeros(n)
+        self.y_arr = np.zeros(n)
+        self.steer_arr = np.zeros(n)
+        self.speed_arr = np.zeros(n)
+
+    def result(self, profile, wall_started: float, wall_finished: float) -> HilResult:
+        """Assemble the :class:`HilResult` of the finished rollout.
+
+        The manifest is pure provenance (config hash, versions, RNG
+        stream names, wall-clock bounds): always attached, never read
+        back by the loop, so the simulated arrays stay bit-identical.
+        """
+        engine = self.engine
+        manifest = build_manifest(
+            config=engine.config,
+            rng_streams=engine.rng_streams,
+            started_at=wall_started,
+            finished_at=wall_finished,
+        )
+        n = self.recorded
+        return HilResult(
+            time_s=self.times[:n],
+            s=self.s_arr[:n],
+            lateral_offset=self.d_arr[:n],
+            y_l_true=self.y_arr[:n],
+            steering=self.steer_arr[:n],
+            speed=self.speed_arr[:n],
+            cycles=self.cycles,
+            crashed=self.crashed,
+            crash_s=self.crash_s,
+            completed=self.completed,
+            profile=profile,
+            manifest=manifest,
+        )
 
 
 class BatchedHilEngine:
@@ -110,8 +145,8 @@ class BatchedHilEngine:
 
     Sharing track objects, camera sizes, ISP names, or identifier
     instances across lanes is what unlocks the batched kernels, but
-    none of it is required — unshared lanes fall back to their serial
-    kernels and stay bit-identical either way.
+    none of it is required — unshared lanes run their own one-lane
+    kernel calls and stay bit-identical either way.
 
     ``cache``/``cache_documents`` enable per-lane result reuse: before
     simulating, each lane with a key document is looked up in the store
@@ -179,163 +214,77 @@ class BatchedHilEngine:
         self, engines: Sequence[HilEngine], start_s: float
     ) -> List[HilResult]:
         """Simulate *engines* lock-step (the cache-less core of :meth:`run`)."""
-        # Reuse an already-active profiler (REPRO_PROFILE=1); otherwise
-        # any lane asking for profiling scopes one shared collector over
-        # the whole batch (batched spans are whole-batch by nature).
-        profiler = profiling.get_active()
-        local_profiler = None
-        if profiler is None and any(e.config.profile for e in engines):
-            profiler = local_profiler = profiling.Profiler()
-            profiling.activate(local_profiler)
+        # Profiling never alters the simulation: spans only read the
+        # wall clock, and the loop's timing model stays Table II based.
+        # A run profiles into its own collector whenever an outer
+        # profiler is active (REPRO_PROFILE=1, ``repro profile``) or a
+        # lane asks for it; the outer one then receives the run's
+        # samples, and results and telemetry carry this run's stats
+        # only.  Batched spans are whole-batch by nature.
+        outer = profiling.get_active()
+        profiler = None
+        if outer is not None or any(e.config.profile for e in engines):
+            profiler = profiling.Profiler()
 
-        lanes: List[_Lane] = []
+        lanes = []
         for engine in engines:
             vehicle, n_steps = engine._start_run(start_s)
-            lane = _Lane(engine=engine, vehicle=vehicle, n_steps=n_steps)
-            lane.s_hint = start_s
-            lane.times = np.zeros(n_steps)
-            lane.s_arr = np.zeros(n_steps)
-            lane.d_arr = np.zeros(n_steps)
-            lane.y_arr = np.zeros(n_steps)
-            lane.steer_arr = np.zeros(n_steps)
-            lane.speed_arr = np.zeros(n_steps)
-            lanes.append(lane)
+            lanes.append(_Lane(engine, vehicle, n_steps, s_hint=start_s))
 
         wall_started = time.time()
-        try:
+        with profiling.activated(profiler):
             active = [lane for lane in lanes if lane.n_steps > 0]
             while active:
+                # A lane's first tick after its cycle is the cycle
+                # step's plant update: the cycle set control_due and
+                # queued its command at least one step ahead.
                 self._advance_all(active)
-                due = [lane for lane in active if lane.active]
-                if due:
-                    self._control_cycles(due)
-                    self._cycle_steps(due)
                 active = [lane for lane in active if lane.active]
-        finally:
-            if local_profiler is not None:
-                profiling.deactivate()
+                if active:
+                    self._run_cycles(active)
 
-        rec = telemetry.get_active()
-        if rec is not None and profiler is not None:
-            rec.metrics.absorb_profiler(profiler.stats())
+        stats = None
+        if profiler is not None:
+            if outer is not None:
+                outer.merge(profiler.snapshot())
+            stats = profiler.stats()
+            rec = telemetry.get_active()
+            if rec is not None:
+                rec.metrics.absorb_profiler(stats)
 
         wall_finished = time.time()
-        return [
-            lane.engine._build_result(
-                lane.times,
-                lane.s_arr,
-                lane.d_arr,
-                lane.y_arr,
-                lane.steer_arr,
-                lane.speed_arr,
-                lane.recorded,
-                lane.cycles,
-                lane.crashed,
-                lane.crash_s,
-                lane.completed,
-                profiler,
-                wall_started,
-                wall_finished,
-            )
-            for lane in lanes
-        ]
+        return [lane.result(stats, wall_started, wall_finished) for lane in lanes]
 
     # ------------------------------------------------------------------
 
-    def _advance_to_cycle(self, lane: _Lane) -> None:
-        """Advance a lane's plant steps until its next control cycle.
+    def _advance_all(self, lanes: List[_Lane]) -> None:
+        """Advance every lane to its next control cycle, plant vectorized.
 
-        Replays the serial loop exactly: actuate pending commands at the
-        top of every step, stop *before* the cycle when the step hits
-        ``control_due``, otherwise run the step's plant update.  The
-        lane deactivates here when its step budget runs out.
+        Lanes sharing ``(sim_step_ms, vehicle params, track)`` step as one
+        stacked cohort of any size, one lane included.
         """
-        while lane.active:
-            step = lane.step
-            if step >= lane.n_steps:
-                lane.active = False
-                return
-            # Actuate commands whose sensor-to-actuation delay elapsed
-            # (before the new sample, exactly as the serial loop does).
-            while lane.pending and lane.pending[0][0] <= step:
-                lane.current_u = lane.pending.pop(0)[1]
-            if step == lane.control_due:
-                return
-            self._post_step(lane)
-
-    def _post_step(self, lane: _Lane) -> None:
-        """The plant half of one simulation step: move, record, check."""
-        step = lane.step
-        step_s = lane.engine.config.sim_step_ms / 1000.0
-        lane.vehicle.step(step_s, lane.current_u)
-        state = lane.vehicle.state
-        track = lane.engine.track
-        s_now, d_now = track.frenet(state.pose.x, state.pose.y, s_hint=lane.s_hint)
-        lane.s_hint = s_now
-        look = (
-            state.pose.position()
-            + lane.engine.perception.lookahead * state.pose.forward()
-        )
-        _, y_true = track.frenet(look[0], look[1], s_hint=s_now)
-
-        lane.times[lane.recorded] = (step + 1) * step_s
-        lane.s_arr[lane.recorded] = s_now
-        lane.d_arr[lane.recorded] = d_now
-        lane.y_arr[lane.recorded] = y_true
-        lane.steer_arr[lane.recorded] = state.steer
-        lane.speed_arr[lane.recorded] = state.speed
-        lane.recorded += 1
-        lane.step += 1
-
-        cfg = lane.engine.config
-        if abs(d_now) > cfg.crash_offset_m:
-            lane.crashed = True
-            lane.crash_s = s_now
-            lane.active = False
-        elif s_now >= track.length - cfg.end_margin_m:
-            lane.completed = True
-            lane.active = False
-
-    @staticmethod
-    def _plant_groups(lanes: List[_Lane]) -> Dict[tuple, List[_Lane]]:
-        """Group lanes whose plant steps can run as one stacked update."""
-        groups: Dict[tuple, List[_Lane]] = {}
+        cohorts: Dict[tuple, List[_Lane]] = {}
         for lane in lanes:
-            if not lane.active:
-                continue
             key = (
                 lane.engine.config.sim_step_ms,
                 lane.vehicle.params,
                 id(lane.engine.track),
             )
-            groups.setdefault(key, []).append(lane)
-        return groups
-
-    def _advance_all(self, lanes: List[_Lane]) -> None:
-        """Advance every lane to its next control cycle, plant vectorized.
-
-        Lanes sharing ``(sim_step_ms, vehicle params, track)`` step as a
-        stacked cohort through :meth:`Vehicle.step_batch` and
-        :meth:`Track.frenet_batch`; a lane with no cohort partner takes
-        the scalar :meth:`_advance_to_cycle` path.  Either way each
-        lane replays the serial per-step logic in the serial order.
-        """
-        for (step_ms, params, _), members in self._plant_groups(lanes).items():
-            if len(members) == 1:
-                self._advance_to_cycle(members[0])
-            else:
-                self._advance_group(members, params, step_ms / 1000.0)
+            cohorts.setdefault(key, []).append(lane)
+        for (step_ms, params, _), members in cohorts.items():
+            self._advance_group(members, params, step_ms / 1000.0)
 
     def _advance_group(self, members: List[_Lane], params, dt: float) -> None:
         """Lock-step plant ticks for one homogeneous lane cohort.
 
         The cohort's plant state lives in stacked arrays across ticks;
-        each tick applies the serial per-step logic to every lane not
-        yet at its cycle — budget check, pending actuation, then one
-        vectorized plant step.  Lanes drop out of the tick as they hit
-        their ``control_due`` (or crash / finish / exhaust the budget);
-        survivors' :class:`VehicleState` objects are materialized once,
-        at the rendezvous.
+        each tick applies the per-step logic to every lane not yet at
+        its cycle — budget check, pending actuation (before the new
+        sample: with tau == h a command lands exactly when the next
+        frame is taken), then one vectorized plant step.  Lanes drop
+        out of the tick as they hit their ``control_due`` (or crash /
+        finish / exhaust the budget); survivors' :class:`VehicleState`
+        objects are materialized once, at the rendezvous.
         """
         track = members[0].engine.track
         state = np.array(
@@ -373,13 +322,15 @@ class BatchedHilEngine:
                     idxs.append(j)
             if not idxs:
                 break
-            sel = np.array(idxs)
-            new_state, new_speed, new_steer = Vehicle.step_batch(
-                params, dt, state[sel], speed[sel], steer[sel], target[sel], u[sel]
-            )
-            s_now, d_now, y_true = self._project_batch(
-                track, new_state, look[sel], hints[sel]
-            )
+            # Every lane ticking (always so at B=1) needs no gather.
+            sel = slice(None) if len(idxs) == len(members) else np.array(idxs)
+            with profile("hil.plant", count=len(idxs)):
+                new_state, new_speed, new_steer = Vehicle.step_batch(
+                    params, dt, state[sel], speed[sel], steer[sel], target[sel], u[sel]
+                )
+                s_now, d_now, y_true = self._project_batch(
+                    track, new_state, look[sel], hints[sel]
+                )
             state[sel] = new_state
             speed[sel] = new_speed
             steer[sel] = new_steer
@@ -398,60 +349,6 @@ class BatchedHilEngine:
         for j, lane in enumerate(members):
             if lane.active:
                 self._write_state(lane, state[j], speed[j], steer[j])
-
-    def _cycle_steps(self, due: List[_Lane]) -> None:
-        """The plant step every lane runs right after its control cycle.
-
-        Same stacked update as :meth:`_advance_group` but for exactly
-        one step, with state re-gathered because the cycle just changed
-        each lane's speed target.  No pending actuation here: the serial
-        loop pops commands before the cycle, not after.
-        """
-        for (step_ms, params, _), members in self._plant_groups(due).items():
-            if len(members) == 1:
-                self._post_step(members[0])
-                continue
-            dt = step_ms / 1000.0
-            track = members[0].engine.track
-            state = np.array(
-                [
-                    [
-                        lane.vehicle.state.pose.x,
-                        lane.vehicle.state.pose.y,
-                        lane.vehicle.state.pose.heading,
-                        lane.vehicle.state.lateral_velocity,
-                        lane.vehicle.state.yaw_rate,
-                    ]
-                    for lane in members
-                ]
-            )
-            speed = np.array([lane.vehicle.state.speed for lane in members])
-            steer = np.array([lane.vehicle.state.steer for lane in members])
-            target = np.array([lane.vehicle.target_speed for lane in members])
-            u = np.array([lane.current_u for lane in members])
-            hints = np.array([lane.s_hint for lane in members])
-            look = np.array(
-                [lane.engine.perception.lookahead for lane in members]
-            )
-            new_state, new_speed, new_steer = Vehicle.step_batch(
-                params, dt, state, speed, steer, target, u
-            )
-            s_now, d_now, y_true = self._project_batch(
-                track, new_state, look, hints
-            )
-            for j, lane in enumerate(members):
-                self._record_step(
-                    lane,
-                    track,
-                    dt,
-                    s_now[j],
-                    d_now[j],
-                    y_true[j],
-                    new_steer[j],
-                    new_speed[j],
-                )
-                if lane.active:
-                    self._write_state(lane, new_state[j], new_speed[j], new_steer[j])
 
     @staticmethod
     def _project_batch(
@@ -506,7 +403,7 @@ class BatchedHilEngine:
             speed=float(speed),
         )
 
-    def _control_cycles(self, due: List[_Lane]) -> None:
+    def _run_cycles(self, due: List[_Lane]) -> None:
         """Run one sensing+control cycle for every due lane, batched."""
         pres = [
             lane.engine._cycle_begin(
@@ -524,7 +421,8 @@ class BatchedHilEngine:
 
         decisions = []
         for i, (lane, pre) in enumerate(zip(due, pres)):
-            decision = lane.engine.manager.decide(self._t_ms(lane), pre.invoked)
+            with profile("hil.decide"):
+                decision = lane.engine.manager.decide(self._t_ms(lane), pre.invoked)
             decisions.append(decision)
             if i in rgbs:
                 lane.engine.perception.set_roi(decision.roi)
@@ -560,17 +458,12 @@ class BatchedHilEngine:
 
         raws: Dict[int, np.ndarray] = {}
         for members in groups.values():
-            if len(members) == 1:
-                i = members[0]
-                with profile("hil.render"):
-                    raws[i] = due[i].engine.renderer.render_raw(pres[i].state.pose)
-            else:
-                renderers = [due[i].engine.renderer for i in members]
-                poses = [pres[i].state.pose for i in members]
-                with profile("hil.render", count=len(members)):
-                    stacked = render_raw_batch(renderers, poses)
-                for j, i in enumerate(members):
-                    raws[i] = stacked[j]
+            renderers = [due[i].engine.renderer for i in members]
+            poses = [pres[i].state.pose for i in members]
+            with profile("hil.render", count=len(members)):
+                stacked = render_raw_batch(renderers, poses)
+            for j, i in enumerate(members):
+                raws[i] = stacked[j]
         for i in sensing:
             raws[i] = due[i].engine.injector.corrupt_raw(
                 self._t_ms(due[i]), raws[i]
@@ -618,7 +511,7 @@ class BatchedHilEngine:
         Only lanes whose injector is the stateless :class:`NullInjector`
         may precompute features: their ``classifier_outcomes`` is
         guaranteed ``None`` (the clean path), so handing the features to
-        :meth:`HilEngine._cycle_classify` skips exactly the serial
+        :meth:`HilEngine._cycle_classify` skips exactly the per-lane
         ``identify`` call and nothing else.  Any identifier exposing
         ``identify_batch`` (e.g. ``CnnIdentifier``) qualifies; grouping
         is by identifier *instance* — shared weights by construction.
@@ -635,7 +528,7 @@ class BatchedHilEngine:
                 groups.setdefault(id(engine.identifier), []).append(i)
         for members in groups.values():
             if len(members) < 2:
-                continue  # serial call inside _cycle_classify is as fast
+                continue  # the per-lane call inside _cycle_classify is as fast
             identifier = due[members[0]].engine.identifier
             with profile("hil.classifier", count=len(members)):
                 batched = identifier.identify_batch(

@@ -14,11 +14,14 @@ One run couples, at a 5 ms base step:
 
 A run ends when the vehicle reaches the end of the track, exceeds the
 crash offset (lane departure), or the time budget runs out.
+
+This module holds a run's configuration and its per-cycle seams; the
+step loop lives in :mod:`repro.hil.batch`, and :meth:`HilEngine.run` is
+that lock-step engine with one lane.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Union
 
@@ -45,16 +48,14 @@ from repro.faults.injection import (
 from repro.faults.plan import FaultPlan
 from repro.hil.record import CycleRecord, HilResult
 from repro.isp.pipeline import IspPipeline
-from repro.perception.pipeline import PerceptionPipeline, PerceptionResult
+from repro.perception.pipeline import PerceptionPipeline
 from repro.sim.camera import CameraModel
 from repro.sim.geometry import Pose2D
 from repro.sim.renderer import RenderOptions, RoadSceneRenderer
 from repro.sim.track import Track
 from repro.sim.vehicle import Vehicle, VehicleParams, VehicleState
-from repro.telemetry import build_manifest
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.events import CYCLE_END, CYCLE_START, IDENTIFIER_INVOKED
-from repro.utils import profiling
 from repro.utils.profiling import profile
 from repro.utils.rng import collect_streams
 
@@ -65,10 +66,10 @@ __all__ = ["HilConfig", "HilEngine"]
 class _CyclePre:
     """Per-lane cycle context produced by :meth:`HilEngine._cycle_begin`.
 
-    Carries everything the later cycle phases need, so the batched
-    driver (:mod:`repro.hil.batch`) can interleave phases across lanes
+    Carries everything the later cycle phases need, so the lock-step
+    engine (:mod:`repro.hil.batch`) can interleave phases across lanes
     without re-deriving state.  ``invoked`` is already ``()`` when the
-    frame was dropped (matching the serial drop branch).
+    frame was dropped: no identification runs that cycle.
     """
 
     state: object
@@ -200,9 +201,8 @@ class HilEngine:
     def _start_run(self, start_s: float):
         """Reset the manager and build the initial vehicle + step budget.
 
-        Shared between the serial loop below and the batched lock-step
-        driver (:mod:`repro.hil.batch`), so both start from bitwise the
-        same state.
+        Called by the lock-step engine (:mod:`repro.hil.batch`) once per
+        lane, whatever the batch it runs in.
         """
         cfg = self.config
         track = self.track
@@ -239,158 +239,15 @@ class HilEngine:
         return tau_steps, h_steps
 
     def run(self, start_s: float = 0.0) -> HilResult:
-        """Simulate from ``start_s`` to the end of the track."""
-        cfg = self.config
-        track = self.track
-        step_s = cfg.sim_step_ms / 1000.0
+        """Simulate from ``start_s`` to the end of the track.
 
-        vehicle, n_steps = self._start_run(start_s)
-        controller: Optional[LaneKeepingController] = None
-
-        times = np.zeros(n_steps)
-        s_arr = np.zeros(n_steps)
-        d_arr = np.zeros(n_steps)
-        y_arr = np.zeros(n_steps)
-        steer_arr = np.zeros(n_steps)
-        speed_arr = np.zeros(n_steps)
-        cycles = []
-
-        control_due = 0
-        pending = []  # (apply_step, command) actuations in flight
-        current_u = 0.0
-        s_hint = start_s
-        crashed = False
-        crash_s: Optional[float] = None
-        completed = False
-        recorded = 0
-
-        # Profiling never alters the simulation: spans only read the
-        # wall clock, and the loop's timing model stays Table II based.
-        # An already-active profiler (REPRO_PROFILE=1) is reused so CLI
-        # runs aggregate across engines; otherwise cfg.profile scopes a
-        # private one to this run.
-        profiler = profiling.get_active()
-        local_profiler = None
-        if profiler is None and cfg.profile:
-            profiler = local_profiler = profiling.Profiler()
-            profiling.activate(local_profiler)
-
-        wall_started = time.time()
-        try:
-            for step in range(n_steps):
-                t_ms = step * cfg.sim_step_ms
-                state = vehicle.state
-
-                # Actuate commands whose sensor-to-actuation delay elapsed.
-                # This happens before the new sample: with tau == h the
-                # command lands exactly when the next frame is taken.
-                while pending and pending[0][0] <= step:
-                    current_u = pending.pop(0)[1]
-
-                if step == control_due:
-                    u, decision, record, controller = self._control_cycle(
-                        t_ms, state, s_hint, controller
-                    )
-                    cycles.append(record)
-                    vehicle.set_target_speed(decision.speed_kmph / 3.6)
-                    # Use the record's timing, not the decision's: a
-                    # latency-spike fault adds to both delay and period
-                    # (the cycle blocks); without faults the values are
-                    # bit-identical to decision.timing.
-                    tau_steps, h_steps = self._timing_steps(record)
-                    pending.append((step + tau_steps, u))
-                    control_due = step + h_steps
-
-                vehicle.step(step_s, current_u)
-                state = vehicle.state
-                s_now, d_now = track.frenet(state.pose.x, state.pose.y, s_hint=s_hint)
-                s_hint = s_now
-                look = state.pose.position() + self.perception.lookahead * state.pose.forward()
-                _, y_true = track.frenet(look[0], look[1], s_hint=s_now)
-
-                times[recorded] = (step + 1) * step_s
-                s_arr[recorded] = s_now
-                d_arr[recorded] = d_now
-                y_arr[recorded] = y_true
-                steer_arr[recorded] = state.steer
-                speed_arr[recorded] = state.speed
-                recorded += 1
-
-                if abs(d_now) > cfg.crash_offset_m:
-                    crashed = True
-                    crash_s = s_now
-                    break
-                if s_now >= track.length - cfg.end_margin_m:
-                    completed = True
-                    break
-        finally:
-            if local_profiler is not None:
-                profiling.deactivate()
-
-        rec = telemetry.get_active()
-        if rec is not None and profiler is not None:
-            rec.metrics.absorb_profiler(profiler.stats())
-
-        return self._build_result(
-            times,
-            s_arr,
-            d_arr,
-            y_arr,
-            steer_arr,
-            speed_arr,
-            recorded,
-            cycles,
-            crashed,
-            crash_s,
-            completed,
-            profiler,
-            wall_started,
-            time.time(),
-        )
-
-    def _build_result(
-        self,
-        times,
-        s_arr,
-        d_arr,
-        y_arr,
-        steer_arr,
-        speed_arr,
-        recorded,
-        cycles,
-        crashed,
-        crash_s,
-        completed,
-        profiler,
-        wall_started,
-        wall_finished,
-    ) -> HilResult:
-        """Assemble the :class:`HilResult` of one finished rollout.
-
-        The manifest is pure provenance (config hash, versions, RNG
-        stream names, wall-clock bounds): always attached, never read
-        back by the loop, so the simulated arrays stay bit-identical.
+        A serial run is the lock-step stepper with one lane: the same
+        loop, kernels and result as this engine's lane in any batch.
         """
-        manifest = build_manifest(
-            config=self.config,
-            rng_streams=self.rng_streams,
-            started_at=wall_started,
-            finished_at=wall_finished,
-        )
-        return HilResult(
-            time_s=times[:recorded],
-            s=s_arr[:recorded],
-            lateral_offset=d_arr[:recorded],
-            y_l_true=y_arr[:recorded],
-            steering=steer_arr[:recorded],
-            speed=speed_arr[:recorded],
-            cycles=cycles,
-            crashed=crashed,
-            crash_s=crash_s,
-            completed=completed,
-            profile=profiler.stats() if profiler is not None else None,
-            manifest=manifest,
-        )
+        # Function-local: repro.hil.batch imports this module.
+        from repro.hil.batch import BatchedHilEngine
+
+        return BatchedHilEngine([self]).run(start_s)[0]
 
     # ------------------------------------------------------------------
 
@@ -420,10 +277,9 @@ class HilEngine:
     def _cycle_begin(self, t_ms, state, s_hint) -> _CyclePre:
         """Phase 1 of a cycle: situate, open the cycle, roll frame drop.
 
-        The batched driver runs this per lane before grouping lanes for
-        the batched kernels; the serial path calls it from
-        :meth:`_control_cycle`.  Both execute identical operations in
-        identical order, so traces stay bit-identical.
+        The lock-step engine runs this per lane before grouping lanes
+        for the batched sensing kernels; each lane's operations keep
+        their order whatever the batch, so traces stay bit-identical.
         """
         track = self.track
         s_now, _ = track.frenet(state.pose.x, state.pose.y, s_hint=s_hint)
@@ -457,7 +313,7 @@ class HilEngine:
         """Phase 2b: classifier invocation + identification bookkeeping.
 
         *features* short-circuits the identifier call with a
-        pre-computed result (the batched driver's stacked classifier
+        pre-computed result (the lock-step engine's stacked classifier
         forward); it is honoured only on the clean-outcome path, which
         is the only path lanes eligible for batching can take.
         """
@@ -505,32 +361,6 @@ class HilEngine:
                 )
                 self.manager.integrate_identification(features)
             self.manager.note_identification(t_ms, ok, failed)
-
-    def _control_cycle(self, t_ms, state, s_hint, controller):
-        """One sensing+control cycle; returns (u, decision, record, controller)."""
-        pre = self._cycle_begin(t_ms, state, s_hint)
-        if pre.dropped:
-            decision = self.manager.decide(t_ms, pre.invoked)
-            measurement = PerceptionResult.invalid()
-        else:
-            with profile("hil.render"):
-                raw = self.renderer.render_raw(pre.state.pose)
-            raw = self.injector.corrupt_raw(t_ms, raw)
-            with profile("hil.isp"):
-                rgb = self._isp(pre.active_isp).process(
-                    raw, tap=self.injector.isp_tap(t_ms)
-                )
-            self._cycle_classify(t_ms, pre, rgb)
-            decision = self.manager.decide(t_ms, pre.invoked)
-
-            self.perception.set_roi(decision.roi)
-            with profile("hil.pr"):
-                measurement = self.perception.process(rgb)
-            if self.injector.perception_dropout(t_ms):
-                # The PR stage produced nothing usable this cycle; the
-                # controller holds exactly as on a missed detection.
-                measurement = PerceptionResult.invalid()
-        return self._cycle_finish(t_ms, pre, decision, measurement, controller)
 
     def _cycle_finish(self, t_ms, pre: _CyclePre, decision, measurement, controller):
         """Phase 3: contracts, control law, cycle record + telemetry."""

@@ -144,6 +144,32 @@ class TrackSegment:
         return np.asarray(s_local, dtype=dtype), np.asarray(d, dtype=dtype)
 
 
+def _segment_column(index: int, seg: TrackSegment, last: int) -> List[float]:
+    """The :meth:`Track.frenet_batch` parameters of segment *index*.
+
+    Straight segments carry dummy arc parameters (centre at the origin,
+    curvature 1) so the arc formulas, evaluated for every candidate and
+    discarded by ``np.where``, never divide by zero.  ``lo``/``hi``
+    bound the overshoot-free local arc length: ``[0, length]``, opened
+    towards the track ends by :meth:`Track.frenet`'s first/last-segment
+    rules (the last-segment rule wins on a one-segment track).
+    """
+    start = seg.start.position()
+    forward = seg.start.forward()
+    left = seg.start.left()
+    if seg.is_arc:
+        center, angle0, curvature = seg._center, seg._start_angle, seg.curvature
+    else:
+        center, angle0, curvature = np.zeros(2), 0.0, 1.0
+    lo = -np.inf if index == 0 and index != last else 0.0
+    hi = np.inf if index == last else seg.length
+    return [
+        start[0], start[1], forward[0], forward[1], left[0], left[1],
+        center[0], center[1], angle0, curvature, 1.0 / curvature,
+        float(np.sign(curvature)), lo, hi, seg.s_start, float(seg.is_arc),
+    ]
+
+
 class Track:
     """A chain of :class:`TrackSegment` pieces forming a road centerline."""
 
@@ -153,6 +179,25 @@ class Track:
         self.segments: List[TrackSegment] = list(segments)
         self._s_bounds = np.array(
             [seg.s_start for seg in self.segments] + [self.segments[-1].s_end]
+        )
+        last = len(self.segments) - 1
+        #: ``(16, n_segments)``: one row per parameter, so a gathered
+        #: window unpacks into one contiguous array per parameter.
+        self._seg_table = np.array(
+            [_segment_column(i, seg, last) for i, seg in enumerate(self.segments)]
+        ).T.copy()
+        #: Interior bounds: ``searchsorted(..., "right")`` on them is
+        #: :meth:`segment_index_at`, clamping included.
+        self._s_interior = self._s_bounds[1:-1].copy()
+        #: The :meth:`_candidate_segments` window of each segment index
+        #: as three slots; slots past the window's end repeat its last
+        #: segment (an equal cost, so argmin still returns the earlier
+        #: slot).
+        self._windows = np.array(
+            [
+                [min(max(i - 1, 0) + k, min(i + 1, last)) for k in range(3)]
+                for i in range(last + 1)
+            ]
         )
 
     # -- construction ---------------------------------------------------
@@ -260,49 +305,41 @@ class Track:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Project many world points to ``(s, d)``, one hint per point.
 
-        Vectorized :meth:`frenet`: candidate segments come from each
-        point's own hint window, per-segment projections run stacked,
-        and the cost scan keeps the first strict minimum in the same
-        ascending-segment order as the scalar loop — so every point's
-        result is bit-identical to ``frenet(x, y, s_hint)``.
+        Vectorized :meth:`frenet` with a fixed number of array ops: each
+        point's three-slot hint window gathers its segments' parameters,
+        :meth:`TrackSegment.locate`'s straight and arc formulas run
+        elementwise in the same operand order (``np.where`` picks one),
+        the per-segment ``lo``/``hi`` bounds carry the first/last-segment
+        overshoot rules (``0.0 - s`` equals ``-s`` up to the sign of
+        zero, which no cost comparison sees), and ``argmin`` keeps the
+        first minimum in window order — the scalar loop's first strict
+        minimum.  Every point's result is therefore bit-identical to
+        ``frenet(x, y, s_hint)``.
         """
-        xs = np.asarray(xs, dtype=float)
-        n_pts = xs.shape[0]
-        pts = np.empty((n_pts, 2))
-        pts[:, 0] = xs
-        pts[:, 1] = ys
-        # Inline segment_index_at without np.clip's dispatch overhead.
-        idx = self._s_bounds.searchsorted(np.asarray(s_hints, dtype=float), "right") - 1
-        idx = np.minimum(np.maximum(idx, 0), len(self.segments) - 1)
-        lo = np.maximum(idx - 1, 0)
-        hi = np.minimum(idx + 2, len(self.segments))
-        best_cost = np.full(n_pts, np.inf)
-        best_s = np.zeros(n_pts)
-        best_d = np.zeros(n_pts)
-        last = len(self.segments) - 1
-        for k in range(3):
-            ci = lo + k
-            in_window = ci < hi
-            if not in_window.any():
-                break
-            for seg_idx in np.unique(ci[in_window]):
-                seg = self.segments[seg_idx]
-                m = in_window & (ci == seg_idx)
-                s_local, d = seg.locate(pts[m])
-                overshoot = np.maximum(
-                    0.0, np.maximum(-s_local, s_local - seg.length)
-                )
-                if seg_idx == 0:
-                    overshoot = np.maximum(0.0, s_local - seg.length)
-                if seg_idx == last:
-                    overshoot = np.maximum(0.0, -s_local)
-                cost = overshoot + 1e-3 * np.abs(d)
-                better = cost < best_cost[m]
-                rows = np.flatnonzero(m)[better]
-                best_cost[rows] = cost[better]
-                best_s[rows] = seg.s_start + s_local[better]
-                best_d[rows] = d[better]
-        return best_s, best_d
+        # Flat (3K,) layout, point-major: same-shape ufuncs skip the
+        # broadcasting machinery, which dominates at small K.
+        xs = np.repeat(np.asarray(xs, dtype=float), 3)
+        ys = np.repeat(np.asarray(ys, dtype=float), 3)
+        window = self._windows[self._s_interior.searchsorted(s_hints, "right")].ravel()
+        (sx, sy, tx, ty, nx, ny, cx, cy, angle0, curvature, radius, sign,
+         lo, hi, s_start, is_arc) = self._seg_table[:, window]
+
+        rel_x = xs - sx
+        rel_y = ys - sy
+        v_x = xs - cx
+        v_y = ys - cy
+        arc = is_arc > 0.0
+        s_local = np.where(
+            arc,
+            wrap_angle(np.arctan2(v_y, v_x) - angle0) / curvature,
+            rel_x * tx + rel_y * ty,
+        )
+        d = np.where(arc, radius - sign * np.hypot(v_x, v_y), rel_x * nx + rel_y * ny)
+        overshoot = np.maximum(0.0, np.maximum(lo - s_local, s_local - hi))
+        cost = overshoot + 1e-3 * np.abs(d)
+        best = cost.reshape(-1, 3).argmin(axis=1)
+        best += 3 * np.arange(best.size)
+        return s_start[best] + s_local[best], d[best]
 
     def _candidate_segments(self, s_hint: Optional[float]) -> List[TrackSegment]:
         if s_hint is None:

@@ -209,44 +209,45 @@ class Vehicle:
         )
         new_steer = np.minimum(np.maximum(new_steer, -p.steer_limit), p.steer_limit)
 
+        # Speed and steering are held over the step, so the linear-tire
+        # coefficients of every RK4 stage are computed once — the same
+        # subexpressions, in the same order, as in _derivatives.
+        cf, cr = p.cornering_front, p.cornering_rear
+        lf, lr = p.dist_front, p.dist_rear
+        v = np.maximum(new_speed, Vehicle.MIN_SPEED)
+        coeffs = (
+            v,
+            -(cf + cr) / (p.mass * v),
+            (cr * lr - cf * lf) / (p.mass * v) - v,
+            cf / p.mass * new_steer,
+            (cr * lr - cf * lf) / (p.inertia_z * v),
+            (cf * lf**2 + cr * lr**2) / (p.inertia_z * v),
+            cf * lf / p.inertia_z * new_steer,
+        )
         y0 = state
-        k1 = Vehicle._derivatives_batch(p, y0, new_steer, new_speed)
-        k2 = Vehicle._derivatives_batch(p, y0 + 0.5 * dt * k1, new_steer, new_speed)
-        k3 = Vehicle._derivatives_batch(p, y0 + 0.5 * dt * k2, new_steer, new_speed)
-        k4 = Vehicle._derivatives_batch(p, y0 + dt * k3, new_steer, new_speed)
+        k1 = Vehicle._derivatives_batch(y0, coeffs)
+        k2 = Vehicle._derivatives_batch(y0 + 0.5 * dt * k1, coeffs)
+        k3 = Vehicle._derivatives_batch(y0 + 0.5 * dt * k2, coeffs)
+        k4 = Vehicle._derivatives_batch(y0 + dt * k3, coeffs)
         y1 = y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         y1[:, 2] = wrap_angle(y1[:, 2])
         return y1, new_speed, new_steer
 
     @staticmethod
-    def _derivatives_batch(
-        p: VehicleParams, y: np.ndarray, steer: np.ndarray, speed: np.ndarray
-    ) -> np.ndarray:
+    def _derivatives_batch(y: np.ndarray, coeffs: tuple) -> np.ndarray:
+        """:meth:`_derivatives` over stacked states, coefficients hoisted."""
+        v, vy_vy, vy_r, vy_steer, r_vy, r_r, r_steer = coeffs
         heading = y[:, 2]
         v_y = y[:, 3]
         r = y[:, 4]
-        v = np.maximum(speed, Vehicle.MIN_SPEED)
-        cf, cr = p.cornering_front, p.cornering_rear
-        lf, lr = p.dist_front, p.dist_rear
-
-        dv_y = (
-            -(cf + cr) / (p.mass * v) * v_y
-            + ((cr * lr - cf * lf) / (p.mass * v) - v) * r
-            + cf / p.mass * steer
-        )
-        dr = (
-            (cr * lr - cf * lf) / (p.inertia_z * v) * v_y
-            - (cf * lf**2 + cr * lr**2) / (p.inertia_z * v) * r
-            + cf * lf / p.inertia_z * steer
-        )
-        dx = v * np.cos(heading) - v_y * np.sin(heading)
-        dy = v * np.sin(heading) + v_y * np.cos(heading)
+        cos = np.cos(heading)
+        sin = np.sin(heading)
         out = np.empty_like(y)
-        out[:, 0] = dx
-        out[:, 1] = dy
+        out[:, 0] = v * cos - v_y * sin
+        out[:, 1] = v * sin + v_y * cos
         out[:, 2] = r
-        out[:, 3] = dv_y
-        out[:, 4] = dr
+        out[:, 3] = vy_vy * v_y + vy_r * r + vy_steer
+        out[:, 4] = r_vy * v_y - r_r * r + r_steer
         return out
 
     def clone(self) -> "Vehicle":

@@ -6,13 +6,17 @@ fixture files under ``tests/golden/``:
 - ``<name>.npz`` — the :class:`~repro.hil.record.HilResult` of the run
   (arrays, cycle records, manifest), written with ``HilResult.save``;
 - ``<name>.trace.jsonl`` — the JSONL telemetry trace of the equivalent
-  serial run (``simulate(telemetry=...)``).
+  one-lane run (``simulate(telemetry=...)``).
 
 The four entries cover the paths a cache or kernel regression could
-silently skew: a nominal serial run, a fault campaign with mitigation,
-a lock-step batched run (whose lanes are bit-identical to serial runs,
-so the serial trace doubles as the batched reference), and a run served
-over the wire protocol (bit-identical to in-process by contract).
+silently skew: a nominal one-lane run, a fault campaign with
+mitigation, a lock-step batched run (lane traces are invariant to batch
+composition, so the one-lane trace doubles as the batched reference),
+and a run served over the wire protocol (bit-identical to in-process by
+contract).  A serial ``HilEngine.run`` is the lock-step engine with one
+lane, so the engine's own tests can only compare it with itself at
+different batch sizes; these fixtures, recorded by the retired serial
+step loop and replayed unregenerated, are the independent reference.
 
 ``tests/test_golden_traces.py`` replays every entry and asserts byte
 equality.  After an *intentional* kernel change (which must also bump

@@ -235,6 +235,19 @@ class TestFrenetBatch:
             assert s_ref == bs[i]
             assert d_ref == bd[i]
 
+    def test_hints_off_the_track_clamp_like_scalar(self):
+        """Hints before the start or past the end pick the end windows."""
+        track = self._mixed_track()
+        hints = np.array([-50.0, -1e-9, 0.0, track.length, track.length + 3.0])
+        points = [track.pose_at(min(max(h, 0.0), track.length), 0.4) for h in hints]
+        xs = np.array([p.x for p in points])
+        ys = np.array([p.y for p in points])
+        bs, bd = track.frenet_batch(xs, ys, hints)
+        for i in range(hints.size):
+            s_ref, d_ref = track.frenet(xs[i], ys[i], s_hint=hints[i])
+            assert s_ref == bs[i]
+            assert d_ref == bd[i]
+
     def test_single_segment_track(self):
         track = Track.from_sections([SectorSpec(50.0, 0.0, SIT)])
         xs = np.array([5.0, 20.0, 49.0])

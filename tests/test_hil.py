@@ -126,6 +126,11 @@ class TestHilEngine:
         # Off by default: the disabled path reports nothing.
         assert _run("case4", length=60.0)[0].profile_table() == ""
 
+    def test_profile_spans_every_plant_step_and_decision(self):
+        result, _ = _run("case4", length=60.0, profile=True)
+        assert result.profile["hil.plant"].count == len(result.time_s)
+        assert result.profile["hil.decide"].count == len(result.cycles)
+
     def test_profile_splits_perception_into_substages(self):
         result, _ = _run("case4", length=60.0, profile=True)
         pr = result.profile["hil.pr"].count

@@ -1,11 +1,12 @@
-"""Bit-identity tests for the batched lock-step rollout engine.
+"""Batch-composition tests for the lock-step rollout engine.
 
-Every test pits :class:`repro.hil.batch.BatchedHilEngine` (or one of
-its facades) against serial ``HilEngine.run`` on the same configs and
-asserts the full traces are *exactly* equal — the engine's contract is
-bitwise equivalence for any batch composition, including lanes that
-crash mid-batch, finish early, or carry fault plans the batched
-kernels must fall back from.
+Lane traces are invariant to batch composition.  A serial
+``HilEngine.run`` is :class:`repro.hil.batch.BatchedHilEngine` with one
+lane, so every test here pits lanes of a larger batch (or one of its
+facades) against the same configs run alone and asserts the full
+traces are *exactly* equal — for lanes that crash mid-batch, finish
+early, or carry fault plans.  The independent reference is the golden
+corpus (``tests/test_golden_traces.py``).
 """
 
 from __future__ import annotations
@@ -126,6 +127,16 @@ class TestBitIdentity:
         assert stats["hil.render"].count == sensed
         for label in ("pr.warp", "pr.threshold", "pr.window", "pr.fit"):
             assert stats[label].count == stats["hil.pr"].count
+
+    def test_profiled_batch_spans_every_plant_step_and_decision(self):
+        """``hil.plant`` weighs each tick by its lanes; ``hil.decide``
+        counts one decision per lane-cycle."""
+        track = _track(length=60.0)
+        configs = [HilConfig(seed=s, profile=True, **FAST) for s in (2, 3, 4)]
+        batched = run_batch(configs, track=track, case="case2")
+        stats = batched[0].profile
+        assert stats["hil.plant"].count == sum(len(r.time_s) for r in batched)
+        assert stats["hil.decide"].count == sum(len(r.cycles) for r in batched)
 
     def test_isp_fault_lanes_share_the_batched_call(self):
         """ISP taps run per lane inside the stacked ISP call."""

@@ -91,3 +91,33 @@ class TestSituationTransitions:
         assert turn_cycles
         assert turn_cycles[-1].roi == "ROI 2"
         assert turn_cycles[-1].speed_kmph == 30.0
+
+
+class TestStepLoopContract:
+    """The step loop's bookkeeping, pinned without a second engine."""
+
+    @pytest.mark.parametrize(
+        "case, n_steps, ends_on_cycle",
+        [
+            ("case1", 101, True),  # h = 25 ms: cycles every 5th step
+            ("case1", 103, False),
+            ("case3", 97, True),  # h = 40 ms: cycles every 8th step
+            ("case3", 100, False),
+        ],
+    )
+    def test_budget_end(self, case, n_steps, ends_on_cycle):
+        step_ms = 5.0
+        step_s = step_ms / 1000.0
+        result = _run(case, max_sim_time_s=(n_steps - 0.5) * step_s)
+        assert not result.completed and not result.crashed
+        # The budget ends either on a control-cycle step (whose plant
+        # update still runs) or mid-period.
+        last_step_ms = (n_steps - 1) * step_ms
+        assert (result.cycles[-1].time_ms == last_step_ms) is ends_on_cycle
+        assert len(result.time_s) == n_steps
+        np.testing.assert_array_equal(
+            result.time_s, step_s * np.arange(1, n_steps + 1)
+        )
+        assert all(c.time_ms < n_steps * step_ms for c in result.cycles)
+        for cycle, following in zip(result.cycles, result.cycles[1:]):
+            assert following.time_ms - cycle.time_ms == cycle.period_ms

@@ -317,6 +317,19 @@ class TestClosedLoopTelemetry:
         assert counters["stage.hil.render.calls"] > 0
         assert rec.metrics.histogram("stage.hil.render.mean_ms")
 
+    def test_outer_profiler_runs_are_absorbed_once_each(self):
+        """Runs sharing one recorder and one outer profiler each absorb
+        their own stage counts, not the outer profiler's running total."""
+        outer = profiling.Profiler()
+        with activated(TelemetryRecorder()) as rec, profiling.activated(outer):
+            first = _simulate()
+            second = _simulate(seed=4)
+        sensed = len(first.cycles) + len(second.cycles)
+        assert outer.stats()["hil.render"].count == sensed
+        assert rec.metrics.counters()["stage.hil.render.calls"] == sensed
+        assert first.profile["hil.render"].count == len(first.cycles)
+        assert second.profile["hil.render"].count == len(second.cycles)
+
     def test_simulate_telemetry_keyword_writes_a_trace(self, tmp_path):
         path = tmp_path / "run.jsonl"
         result = _simulate(telemetry=path)
