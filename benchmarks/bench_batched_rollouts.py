@@ -2,8 +2,9 @@
 
 Evaluates one reduced-fidelity characterization slice — a
 same-situation knob grid of 16 rollouts at 48x24 camera fidelity —
-four ways: the serial per-task path, and lock-step lane chunks of 4,
-16, and auto.  Each arm's wall clock, its speedup over serial, and the
+four ways through the one chunked sweep driver: chunks of one lane
+(``batch=1``, the serial sweep), and lock-step lane chunks of 4, 16,
+and auto.  Each arm's wall clock, its speedup over serial, and the
 batch composition go to ``extra_info``; every arm must agree
 bit-identically with the serial sweep, and the auto batch must clear
 3x over the serial single-process sweep (the headroom the batched
@@ -22,7 +23,6 @@ import time
 from repro.core.characterization import (
     CharacterizationConfig,
     _knob_tasks,
-    _knob_worker,
     _run_knob_tasks,
     roi_candidates,
 )
@@ -64,7 +64,7 @@ def _best_of(fn, rounds=_ROUNDS):
 def test_batched_rollouts_speedup(benchmark):
     tasks = _slice_tasks()
 
-    serial, serial_s = _best_of(lambda: [_knob_worker(t) for t in tasks])
+    serial, serial_s = _best_of(lambda: _run_knob_tasks(tasks, 1, 1))
 
     arms = {}
     for label, batch in (("batch4", 4), ("batch16", 16), ("batch_auto", "auto")):

@@ -38,6 +38,8 @@ All heavy imports are deferred into the function bodies, so
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
@@ -132,21 +134,6 @@ def _build_config(
     return replace(base, **overrides)
 
 
-def _resolve_rollout_cache(
-    cache: Union[str, Path, None], cfg: Optional[HilConfig]
-):
-    """The rollout store for this call, or ``None`` when caching is off.
-
-    Profiled runs bypass the cache outright: profiling is the point of
-    the run, and a cached result carries no measured stats.
-    """
-    if cache is None or (cfg is not None and cfg.profile):
-        return None
-    from repro.cache import resolve_cache
-
-    return resolve_cache(cache)
-
-
 def simulate(
     *,
     situation: Union[int, Situation] = 1,
@@ -198,13 +185,15 @@ def simulate(
         :class:`MitigationConfig` customizes it; ``False`` leaves the
         base config's setting.
     seed:
-        Run seed; ``None`` keeps the base config's seed.  A *sequence*
-        of seeds runs one lock-step Monte-Carlo batch — every seed is
-        simulated as its own lane through
+        Run seed (any integer, numpy integers included); ``None`` keeps
+        the base config's seed.  A *sequence* of integer seeds runs a
+        lock-step Monte-Carlo batch and returns a ``list[HilResult]``
+        in seed order; any other element type raises ``TypeError``.
+        One run loop serves both: a single seed is a sequence of one,
+        and every seed is simulated as its own lane through
         :class:`repro.hil.batch.BatchedHilEngine` (vectorized
         render/ISP/perception kernels, each lane bit-identical to a
-        serial run with that seed) and a ``list[HilResult]`` in seed
-        order is returned.
+        run of that seed alone).
     frame:
         ``(width, height)`` of the simulated camera frame.
     profile:
@@ -218,10 +207,10 @@ def simulate(
         Incompatible with a seed sequence (the per-cycle event streams
         of lock-step lanes would interleave in one trace).
     batch:
-        Lane count per lock-step group for a seed sequence: explicit
-        int > ``$REPRO_BATCH`` > ``"auto"``/``None`` (see
-        :func:`repro.utils.parallel.resolve_batch`).  Ignored for a
-        single seed.
+        Lane count per lock-step chunk: explicit int > ``$REPRO_BATCH``
+        > ``"auto"``/``None`` (see
+        :func:`repro.utils.parallel.resolve_batch`).  A single seed is
+        always a chunk of one.
     cache:
         Rollout result cache (see :mod:`repro.cache`): ``None``/
         ``"off"`` disable it, ``"auto"`` uses the default store under
@@ -230,100 +219,79 @@ def simulate(
         replaces (the stored manifest keeps the *original* run's
         wall-clock).  Profiled runs, ``telemetry=`` runs and
         non-spec-string identifiers always run live, and
-        ``REPRO_NO_CACHE=1`` disables caching globally.  For a seed
-        sequence the lookup is per lane: a batch with partial hits
-        only simulates the misses.
+        ``REPRO_NO_CACHE=1`` disables caching globally.  The lookup
+        is per seed and precedes any simulation: every seed's key is
+        loaded, only the misses are chunked into lock-step lanes (so
+        partial hits only roll the misses, bit-identical because lanes
+        are independent), and each fresh result is stored as soon as
+        its chunk finishes.
     config:
         Base :class:`HilConfig`; the keywords above override it field
         by field.
     """
+    from repro.cache import resolve_cache, rollout_key_document
+    from repro.hil.batch import BatchedHilEngine
     from repro.hil.engine import HilEngine
+    from repro.telemetry import TelemetryRecorder, activated, write_trace
+    from repro.utils.parallel import resolve_batch
 
     resolved_track, _ = _coerce_track(track, situation, length_m)
-    if seed is not None and not isinstance(seed, int):
-        if telemetry is not None:
-            raise ValueError(
-                "telemetry= records one run's event stream; it cannot be "
-                "combined with a seed sequence (run the seeds one at a time)"
+    single = seed is None or isinstance(seed, numbers.Integral)
+    seeds = [seed] if single else list(seed)
+    if not single and telemetry is not None:
+        raise ValueError(
+            "telemetry= records one run's event stream; it cannot be "
+            "combined with a seed sequence (run the seeds one at a time)"
+        )
+    configs = [
+        _build_config(
+            config, None if s is None else operator.index(s), frame, profile,
+            faults, mitigate,
+        )
+        for s in seeds
+    ]
+    # Profiled and telemetry runs bypass the cache outright: measuring
+    # the run is their point, and a cached result carries no stats.
+    store = None
+    if telemetry is None and not any(cfg.profile for cfg in configs):
+        store = resolve_cache(cache)
+    results: list[Optional[HilResult]] = [None] * len(configs)
+    documents: list[Optional[dict]] = [None] * len(configs)
+    if store is not None:
+        documents = [
+            rollout_key_document(
+                track=resolved_track,
+                case=case,
+                table=table,
+                identifier=identifier,
+                config=cfg,
             )
-        from repro.hil.batch import BatchedHilEngine
-        from repro.utils.parallel import resolve_batch
-
-        seeds = list(seed)
-        configs = [
-            _build_config(config, s, frame, profile, faults, mitigate)
-            for s in seeds
+            for cfg in configs
         ]
-        store = _resolve_rollout_cache(cache, configs[0] if configs else None)
-        documents = None
-        if store is not None:
-            from repro.cache import rollout_key_document
-
-            documents = [
-                rollout_key_document(
-                    track=resolved_track,
-                    case=case,
-                    table=table,
-                    identifier=identifier,
-                    config=cfg,
-                )
-                for cfg in configs
-            ]
-        lanes = resolve_batch(batch, len(seeds))
-        results: list[HilResult] = []
-        for start in range(0, len(seeds), lanes):
+        results = [store.load(document) for document in documents]
+    misses = [i for i, result in enumerate(results) if result is None]
+    lanes = resolve_batch(batch, len(misses))
+    recorder = TelemetryRecorder() if telemetry is not None else None
+    with activated(recorder):
+        for start in range(0, len(misses), lanes):
+            chunk = misses[start : start + lanes]
             engines = [
                 HilEngine(
                     resolved_track,
                     case,
                     table=table,
                     identifier=identifier,
-                    config=cfg,
+                    config=configs[i],
                 )
-                for cfg in configs[start : start + lanes]
+                for i in chunk
             ]
-            results.extend(
-                BatchedHilEngine(
-                    engines,
-                    cache=store,
-                    cache_documents=(
-                        documents[start : start + lanes]
-                        if documents is not None
-                        else None
-                    ),
-                ).run()
-            )
-        return results
-    cfg = _build_config(config, seed, frame, profile, faults, mitigate)
-    store = None if telemetry is not None else _resolve_rollout_cache(cache, cfg)
-    document = None
-    if store is not None:
-        from repro.cache import rollout_key_document
-
-        document = rollout_key_document(
-            track=resolved_track,
-            case=case,
-            table=table,
-            identifier=identifier,
-            config=cfg,
-        )
-        hit = store.load(document)
-        if hit is not None:
-            return hit
-    engine = HilEngine(
-        resolved_track, case, table=table, identifier=identifier, config=cfg
-    )
-    if telemetry is None:
-        result = engine.run()
-        if store is not None:
-            store.store(document, result)
-        return result
-    from repro.telemetry import TelemetryRecorder, activated, write_trace
-
-    with activated(TelemetryRecorder()) as recorder:
-        result = engine.run()
-    write_trace(telemetry, result.manifest, recorder.events)
-    return result
+            for i, result in zip(chunk, BatchedHilEngine(engines).run()):
+                results[i] = result
+                if store is not None:
+                    store.store(documents[i], result)
+    if recorder is not None:
+        write_trace(telemetry, results[0].manifest, recorder.events)
+    return results[0] if single else results
 
 
 def characterize(

@@ -12,9 +12,9 @@ cycle records, and the manifest minus its wall-clock bounds.
 - :mod:`repro.cache.store` — the sharded atomic store with LRU bound,
   hit/miss counters and ``verify``.
 
-Consumers: ``repro.simulate(cache=...)``, the batch engine's per-lane
-lookup, ``core.characterization`` (workers read through, only the
-parent writes back), the service's ``simulate`` op, and the
+Consumers: ``repro.simulate(cache=...)`` (a per-seed lookup; only the
+misses are rolled), ``core.characterization`` (workers read through,
+only the parent writes back), the service's ``simulate`` op, and the
 ``python -m repro cache`` CLI.
 """
 

@@ -31,8 +31,10 @@ the whole chunk.  Lane order inside a chunk and chunk order across the
 sweep both follow submission order, and every lane is bit-identical to
 its serial evaluation — the resulting table does not depend on
 ``(jobs, batch)``.  ``batch`` resolves explicit > ``$REPRO_BATCH`` >
-auto (:func:`repro.utils.parallel.resolve_batch`); ``batch=1`` takes
-the original per-task code path.
+auto (:func:`repro.utils.parallel.resolve_batch`); ``batch=1`` makes
+every closed-loop chunk one lane of the same engine, and the prescreen
+falls back to its serial reference kernel
+(:func:`repro.perception.evaluation.evaluate_sequence`).
 
 Every closed-loop rollout reads through the content-addressed rollout
 store (:mod:`repro.cache`) when caching is on: pool workers look
@@ -236,47 +238,6 @@ def _evaluate_result(knobs: KnobSetting, case, result) -> KnobEvaluation:
     )
 
 
-def _knob_worker(task: _KnobTask) -> _KnobOutcome:
-    """Closed-loop QoC of one knob setting in one situation."""
-    # Imported here: the HiL engine composes the whole system, and a
-    # module-level import would make repro.core depend on repro.hil
-    # circularly (hil's engine imports repro.core.reconfiguration).
-    from repro.hil.engine import HilConfig, HilEngine
-    from repro.sim.world import static_situation_track
-
-    config = task.config
-    case = case_config("case4")
-    knobs = KnobSetting(isp=task.isp, roi=task.roi, speed_kmph=task.speed_kmph)
-    track = static_situation_track(task.situation, length=config.track_length)
-    hil_config = HilConfig(
-        seed=config.seed,
-        frame_width=config.frame_width,
-        frame_height=config.frame_height,
-    )
-    document = None
-    store = _worker_store(task.cache_root)
-    if store is not None:
-        document = rollout_key_document(
-            track=track,
-            case=case,
-            table={task.situation: knobs},
-            identifier=None,
-            config=hil_config,
-        )
-        cached = store.load(document)
-        if cached is not None:
-            return _KnobOutcome(_evaluate_result(knobs, case, cached), document)
-    engine = HilEngine(
-        track, case, table={task.situation: knobs}, config=hil_config
-    )
-    result = engine.run()
-    return _KnobOutcome(
-        _evaluate_result(knobs, case, result),
-        document,
-        result if document is not None else None,
-    )
-
-
 @dataclass(frozen=True)
 class _PrescreenChunk:
     """A lane chunk of same-situation prescreens (shared render)."""
@@ -316,14 +277,15 @@ def _knob_chunk_worker(chunk: _KnobChunk) -> Tuple[_KnobOutcome, ...]:
     is bit-identical to per-lane copies) and the batched engine can
     group their render calls.  Cached lanes drop out before the batch
     is built — only the misses are rolled — which stays bit-identical
-    because lanes are independent.
+    because lanes are independent.  A chunk of one is a serial run.
     """
+    # Imported here: the HiL engine composes the whole system, and a
+    # module-level import would make repro.core depend on repro.hil
+    # circularly (hil's engine imports repro.core.reconfiguration).
     from repro.hil.batch import BatchedHilEngine
     from repro.hil.engine import HilConfig, HilEngine
     from repro.sim.world import static_situation_track
 
-    if len(chunk.tasks) == 1:
-        return (_knob_worker(chunk.tasks[0]),)
     config = chunk.tasks[0].config
     situation = chunk.tasks[0].situation
     case = case_config("case4")
@@ -477,6 +439,64 @@ def _store_prescreen(
     )
 
 
+def _prescreen_all(
+    situations: Sequence[Situation],
+    config: CharacterizationConfig,
+    n_jobs: int,
+    batch: Union[int, str, None],
+    cache: ArtifactCache,
+) -> Dict[Situation, List[Tuple[str, float]]]:
+    """Prescreen every situation without a cached bad-rate vector.
+
+    The pending situations form one flat grid (situation x ISP) so a
+    multi-situation sweep saturates ``n_jobs`` workers.  Lane chunks
+    never span situations (their lanes share one rendered sequence);
+    ``batch=1`` runs the serial reference kernel per (situation, ISP).
+    """
+    prescreens: Dict[Situation, List[Tuple[str, float]]] = {}
+    pending: List[Situation] = []
+    for situation in situations:
+        cached = _load_prescreen(cache, situation, config)
+        if cached is not None:
+            prescreens[situation] = cached
+        else:
+            pending.append(situation)
+    if not pending:
+        return prescreens
+    n_isp = len(config.isp_names)
+    lanes = resolve_batch(batch, n_isp * len(pending), n_jobs)
+    if lanes <= 1:
+        tasks = [
+            _PrescreenTask(situation, isp, config)
+            for situation in pending
+            for isp in config.isp_names
+        ]
+        rates = parallel_map(_prescreen_worker, tasks, jobs=n_jobs, label="prescreen")
+    else:
+        chunks = [
+            _PrescreenChunk(situation, isps, config)
+            for situation in pending
+            for isps in _chunked(config.isp_names, lanes)
+        ]
+        chunk_rates = parallel_map(
+            _prescreen_chunk_worker, chunks, jobs=n_jobs, label="prescreen"
+        )
+        rates = []
+        for chunk, result in zip(chunks, chunk_rates):
+            if isinstance(result, TaskFailure):
+                rates.extend([result] * len(chunk.isps))
+            else:
+                rates.extend(result)
+    for i, situation in enumerate(pending):
+        prescreen = [
+            (isp, 1.0 if isinstance(rate, TaskFailure) else rate)
+            for isp, rate in zip(config.isp_names, rates[i * n_isp : (i + 1) * n_isp])
+        ]
+        prescreens[situation] = prescreen
+        _store_prescreen(cache, situation, config, prescreen)
+    return prescreens
+
+
 def prescreen_isp(
     situation: Situation,
     config: CharacterizationConfig,
@@ -496,34 +516,9 @@ def prescreen_isp(
     the same ISP candidates).
     """
     cache = ArtifactCache("prescreen", enabled=use_cache)
-    cached = _load_prescreen(cache, situation, config)
-    if cached is not None:
-        return cached
-    n_jobs = resolve_jobs(jobs)
-    lanes = resolve_batch(batch, len(config.isp_names), n_jobs)
-    if lanes <= 1:
-        tasks = [_PrescreenTask(situation, isp, config) for isp in config.isp_names]
-        rates = parallel_map(_prescreen_worker, tasks, jobs=n_jobs, label="prescreen")
-    else:
-        chunks = [
-            _PrescreenChunk(situation, isps, config)
-            for isps in _chunked(config.isp_names, lanes)
-        ]
-        chunk_rates = parallel_map(
-            _prescreen_chunk_worker, chunks, jobs=n_jobs, label="prescreen"
-        )
-        rates = []
-        for chunk, result in zip(chunks, chunk_rates):
-            if isinstance(result, TaskFailure):
-                rates.extend([result] * len(chunk.isps))
-            else:
-                rates.extend(result)
-    prescreen = [
-        (isp, 1.0 if isinstance(rate, TaskFailure) else rate)
-        for isp, rate in zip(config.isp_names, rates)
+    return _prescreen_all([situation], config, resolve_jobs(jobs), batch, cache)[
+        situation
     ]
-    _store_prescreen(cache, situation, config, prescreen)
-    return prescreen
 
 
 def _select_isp_candidates(
@@ -555,12 +550,10 @@ def _run_knob_tasks(
 
     Chunks never span situations (their lanes share one track), and the
     flattened results keep submission order, so the output is the same
-    list ``parallel_map(_knob_worker, tasks, ...)`` would produce — for
-    any ``(jobs, batch)`` composition.
+    list for any ``(jobs, batch)`` composition — ``batch=1`` included,
+    which makes every task a chunk of one.
     """
     lanes = resolve_batch(batch, len(tasks), n_jobs)
-    if lanes <= 1:
-        return parallel_map(_knob_worker, tasks, jobs=n_jobs, label="characterize")
     by_situation: Dict[Situation, List[int]] = {}
     for i, task in enumerate(tasks):
         by_situation.setdefault(task.situation, []).append(i)
@@ -585,44 +578,46 @@ def _run_knob_tasks(
     return flat
 
 
-def characterize_situation(
-    situation: Situation,
-    config: CharacterizationConfig = CharacterizationConfig(),
-    jobs: Optional[int] = None,
-    batch: Union[int, str, None] = None,
-    cache: Union[str, Path, None] = None,
-) -> List[KnobEvaluation]:
-    """Run the sweep for one situation; results sorted best first.
+def _rankings(
+    situations: Sequence[Situation],
+    config: CharacterizationConfig,
+    n_jobs: int,
+    batch: Union[int, str, None],
+    store: Optional[RolloutCache],
+) -> Dict[Situation, List[KnobEvaluation]]:
+    """Each situation's knob evaluations, sorted best first.
 
-    ``jobs`` fans the independent evaluations out across a process pool
-    (see :mod:`repro.utils.parallel`), ``batch`` sizes the lock-step
-    lane chunks each worker advances through the batched rollout
-    engine; the returned ranking is bit-identical for any combination.
-    ``cache`` selects the rollout store (``"auto"``/``"off"``/path as
-    for :func:`repro.api.simulate`; default off): workers read cached
-    rollouts through it, fresh rollouts are written back by this
-    (parent) process only, and the ranking is the same for any cache
-    state because hits are byte-equal to reruns.
+    The sweep is flattened across *all* situations — first the
+    prescreen grid (situation x ISP), then the closed-loop grid
+    (situation x ISP candidate x ROI x speed) — so a multi-situation
+    sweep saturates ``n_jobs`` workers even when single situations have
+    few knob settings.  With a ``store``, workers read rollouts through
+    it, this (parent) process writes fresh ones back, and the prescreen
+    vectors are reused from the artifact cache.
     """
-    n_jobs = resolve_jobs(jobs)
-    store = resolve_cache(cache)
-    prescreen = prescreen_isp(
-        situation, config, jobs=n_jobs, batch=batch,
-        use_cache=store is not None,
+    prescreens = _prescreen_all(
+        situations, config, n_jobs, batch,
+        ArtifactCache("prescreen", enabled=store is not None),
     )
-    isp_candidates = _select_isp_candidates(prescreen, config)
-    tasks = _knob_tasks(
-        situation,
-        isp_candidates,
-        config,
-        cache_root=str(store.root) if store is not None else None,
-    )
-    results = _run_knob_tasks(tasks, n_jobs, batch)
-    outcomes = _collect_outcomes(results, situation)
-    _absorb_outcomes(store, outcomes)
-    evaluations = [outcome.evaluation for outcome in outcomes]
-    evaluations.sort(key=KnobEvaluation.sort_key)
-    return _tie_break_by_speed(evaluations, config.tie_tolerance)
+    cache_root = str(store.root) if store is not None else None
+    flat_tasks: List[_KnobTask] = []
+    spans: Dict[Situation, Tuple[int, int]] = {}
+    for situation in situations:
+        candidates = _select_isp_candidates(prescreens[situation], config)
+        tasks = _knob_tasks(situation, candidates, config, cache_root=cache_root)
+        spans[situation] = (len(flat_tasks), len(flat_tasks) + len(tasks))
+        flat_tasks.extend(tasks)
+    results = _run_knob_tasks(flat_tasks, n_jobs, batch)
+    _absorb_outcomes(store, results)
+    rankings: Dict[Situation, List[KnobEvaluation]] = {}
+    for situation, (start, end) in spans.items():
+        outcomes = _collect_outcomes(results[start:end], situation)
+        evaluations = sorted(
+            (outcome.evaluation for outcome in outcomes),
+            key=KnobEvaluation.sort_key,
+        )
+        rankings[situation] = _tie_break_by_speed(evaluations, config.tie_tolerance)
+    return rankings
 
 
 def _tie_break_by_speed(
@@ -650,6 +645,30 @@ def _tie_break_by_speed(
     return sorted(evaluations, key=rank)
 
 
+def characterize_situation(
+    situation: Situation,
+    config: CharacterizationConfig = CharacterizationConfig(),
+    jobs: Optional[int] = None,
+    batch: Union[int, str, None] = None,
+    cache: Union[str, Path, None] = None,
+) -> List[KnobEvaluation]:
+    """Run the sweep for one situation; results sorted best first.
+
+    ``jobs`` fans the independent evaluations out across a process pool
+    (see :mod:`repro.utils.parallel`), ``batch`` sizes the lock-step
+    lane chunks each worker advances through the batched rollout
+    engine; the returned ranking is bit-identical for any combination.
+    ``cache`` selects the rollout store (``"auto"``/``"off"``/path as
+    for :func:`repro.api.simulate`; default off): workers read cached
+    rollouts through it, fresh rollouts are written back by this
+    (parent) process only, and the ranking is the same for any cache
+    state because hits are byte-equal to reruns.
+    """
+    return _rankings(
+        [situation], config, resolve_jobs(jobs), batch, resolve_cache(cache)
+    )[situation]
+
+
 def characterize(
     situations: Sequence[Situation] = TABLE3_SITUATIONS,
     config: CharacterizationConfig = CharacterizationConfig(),
@@ -661,15 +680,11 @@ def characterize(
 ) -> Dict[Situation, KnobSetting]:
     """Build the situation -> best-knob table (the Table III artifact).
 
-    The sweep is flattened across *all* situations — first the
-    prescreen grid (situation x ISP), then the closed-loop grid
-    (situation x ISP candidate x ROI x speed) — and fanned out with
-    :func:`repro.utils.parallel.parallel_map`, so a multi-situation
-    table saturates ``jobs`` workers even when single situations have
-    few knob settings.  ``batch`` additionally sizes the lock-step lane
-    chunk each worker advances in one batched rollout.  The result is
-    bit-identical to the serial path (``jobs=1``, ``batch=1``) for any
-    ``(jobs, batch)`` composition.
+    The sweep is flattened across *all* situations and fanned out with
+    :func:`repro.utils.parallel.parallel_map`; ``batch`` additionally
+    sizes the lock-step lane chunk each worker advances in one batched
+    rollout.  The result is bit-identical to ``jobs=1, batch=1`` for
+    any ``(jobs, batch)`` composition.
 
     With caching on (``use_cache=True``, the default) every closed-loop
     rollout reads through the content-addressed rollout store
@@ -681,83 +696,13 @@ def characterize(
     overrides the store selection (``"auto"``/``"off"``/explicit root);
     by default ``use_cache`` picks ``"auto"`` or ``"off"``.
     """
-    n_jobs = resolve_jobs(jobs)
     if cache is None:
         cache = "auto" if use_cache else None
-    store = resolve_cache(cache)
-    pre_cache = ArtifactCache("prescreen", enabled=store is not None)
+    rankings = _rankings(
+        situations, config, resolve_jobs(jobs), batch, resolve_cache(cache)
+    )
     table: Dict[Situation, KnobSetting] = {}
-
-    # Phase 1: flat prescreen grid over the situations without a cached
-    # bad-rate vector.
-    prescreens: Dict[Situation, List[Tuple[str, float]]] = {}
-    pending: List[Situation] = []
-    for situation in situations:
-        cached = _load_prescreen(pre_cache, situation, config)
-        if cached is not None:
-            prescreens[situation] = cached
-        else:
-            pending.append(situation)
-    n_isp = len(config.isp_names)
-    if pending:
-        lanes = resolve_batch(batch, n_isp * len(pending), n_jobs)
-        if lanes <= 1:
-            prescreen_tasks = [
-                _PrescreenTask(situation, isp, config)
-                for situation in pending
-                for isp in config.isp_names
-            ]
-            rates = parallel_map(
-                _prescreen_worker, prescreen_tasks, jobs=n_jobs, label="prescreen"
-            )
-        else:
-            prescreen_chunks = [
-                _PrescreenChunk(situation, isps, config)
-                for situation in pending
-                for isps in _chunked(config.isp_names, lanes)
-            ]
-            chunk_rates = parallel_map(
-                _prescreen_chunk_worker, prescreen_chunks, jobs=n_jobs, label="prescreen"
-            )
-            rates = []
-            for chunk, result in zip(prescreen_chunks, chunk_rates):
-                if isinstance(result, TaskFailure):
-                    rates.extend([result] * len(chunk.isps))
-                else:
-                    rates.extend(result)
-        for i, situation in enumerate(pending):
-            chunk = rates[i * n_isp : (i + 1) * n_isp]
-            prescreen = [
-                (isp, 1.0 if isinstance(rate, TaskFailure) else rate)
-                for isp, rate in zip(config.isp_names, chunk)
-            ]
-            prescreens[situation] = prescreen
-            _store_prescreen(pre_cache, situation, config, prescreen)
-    candidates: Dict[Situation, List[str]] = {
-        situation: _select_isp_candidates(prescreens[situation], config)
-        for situation in situations
-    }
-
-    # Phase 2: flat closed-loop grid (situation x ISP x ROI x speed),
-    # read through the rollout store.
-    cache_root = str(store.root) if store is not None else None
-    flat_tasks: List[_KnobTask] = []
-    spans: Dict[Situation, Tuple[int, int]] = {}
-    for situation in situations:
-        tasks = _knob_tasks(
-            situation, candidates[situation], config, cache_root=cache_root
-        )
-        spans[situation] = (len(flat_tasks), len(flat_tasks) + len(tasks))
-        flat_tasks.extend(tasks)
-    results = _run_knob_tasks(flat_tasks, n_jobs, batch)
-    _absorb_outcomes(store, results)
-
-    for situation in situations:
-        start, end = spans[situation]
-        outcomes = _collect_outcomes(results[start:end], situation)
-        evaluations = [outcome.evaluation for outcome in outcomes]
-        evaluations.sort(key=KnobEvaluation.sort_key)
-        evaluations = _tie_break_by_speed(evaluations, config.tie_tolerance)
+    for situation, evaluations in rankings.items():
         best = evaluations[0]
         if verbose:
             _log.info(

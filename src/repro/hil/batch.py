@@ -146,42 +146,15 @@ class BatchedHilEngine:
     Sharing track objects, camera sizes, ISP names, or identifier
     instances across lanes is what unlocks the batched kernels, but
     none of it is required — unshared lanes run their own one-lane
-    kernel calls and stay bit-identical either way.
-
-    ``cache``/``cache_documents`` enable per-lane result reuse: before
-    simulating, each lane with a key document is looked up in the store
-    (duck-typed: any object with ``load(document)``/``store(document,
-    result)``, normally a :class:`repro.cache.RolloutCache`) and only
-    the misses are rolled — a batch with partial hits shrinks to its
-    live lanes, which stay bit-identical because lanes are independent.
-    Fresh results are written back unless ``cache_write=False`` (the
-    sweep runner's pool workers read through but leave writing to the
-    parent process).
+    kernel calls and stay bit-identical either way.  The engine holds
+    no result cache: callers that reuse rollouts look each lane up
+    themselves and hand only the misses to the engine.
     """
 
-    def __init__(
-        self,
-        engines: Sequence[HilEngine],
-        *,
-        cache=None,
-        cache_documents: Optional[Sequence[Optional[dict]]] = None,
-        cache_write: bool = True,
-    ):
+    def __init__(self, engines: Sequence[HilEngine]):
         if not engines:
             raise ValueError("BatchedHilEngine needs at least one engine")
         self.engines = list(engines)
-        if cache_documents is not None and len(cache_documents) != len(
-            self.engines
-        ):
-            raise ValueError(
-                f"expected {len(self.engines)} cache documents, "
-                f"got {len(cache_documents)}"
-            )
-        self.cache = cache
-        self.cache_documents = (
-            list(cache_documents) if cache_documents is not None else None
-        )
-        self.cache_write = cache_write
 
     @staticmethod
     def _t_ms(lane: _Lane) -> float:
@@ -189,31 +162,7 @@ class BatchedHilEngine:
         return lane.step * lane.engine.config.sim_step_ms
 
     def run(self, start_s: float = 0.0) -> List[HilResult]:
-        """Simulate every lane from ``start_s``; results in lane order.
-
-        With a cache attached, cached lanes are loaded instead of
-        simulated and fresh lanes are written back (see the class
-        docstring); the returned list is indistinguishable from a
-        cache-less run.
-        """
-        if self.cache is None or self.cache_documents is None:
-            return self._run_lanes(self.engines, start_s)
-        results: List[Optional[HilResult]] = [
-            self.cache.load(document) for document in self.cache_documents
-        ]
-        live = [i for i, result in enumerate(results) if result is None]
-        if live:
-            fresh = self._run_lanes([self.engines[i] for i in live], start_s)
-            for i, result in zip(live, fresh):
-                results[i] = result
-                if self.cache_write:
-                    self.cache.store(self.cache_documents[i], result)
-        return results  # type: ignore[return-value]
-
-    def _run_lanes(
-        self, engines: Sequence[HilEngine], start_s: float
-    ) -> List[HilResult]:
-        """Simulate *engines* lock-step (the cache-less core of :meth:`run`)."""
+        """Simulate every lane from ``start_s``; results in lane order."""
         # Profiling never alters the simulation: spans only read the
         # wall clock, and the loop's timing model stays Table II based.
         # A run profiles into its own collector whenever an outer
@@ -223,11 +172,11 @@ class BatchedHilEngine:
         # only.  Batched spans are whole-batch by nature.
         outer = profiling.get_active()
         profiler = None
-        if outer is not None or any(e.config.profile for e in engines):
+        if outer is not None or any(e.config.profile for e in self.engines):
             profiler = profiling.Profiler()
 
         lanes = []
-        for engine in engines:
+        for engine in self.engines:
             vehicle, n_steps = engine._start_run(start_s)
             lanes.append(_Lane(engine, vehicle, n_steps, s_hint=start_s))
 

@@ -109,6 +109,59 @@ def trajectory_poses(
     return poses
 
 
+def _evaluate_lanes(
+    situation: Situation,
+    isps: List[str],
+    camera: CameraModel,
+    n_frames: int,
+    seed: int,
+    lookahead: float,
+    track_length: float,
+    detect: Callable[[List[np.ndarray]], List[PerceptionResult]],
+) -> List[SequenceStats]:
+    """The frame loop shared by the serial and the batched evaluation.
+
+    Each frame is rendered once and run through every lane's ISP;
+    ``detect`` maps the lanes' ISP outputs to their perception results,
+    and each lane is scored against the same Frenet ground truth.
+    """
+    track = static_situation_track(situation, length=track_length)
+    track_length = track.length  # curved tracks may be capped
+    renderer = RoadSceneRenderer(camera, track, seed=seed)
+    isp_pipelines = [IspPipeline(isp) for isp in isps]
+
+    spacing = (track_length - 40.0) / n_frames
+    poses = trajectory_poses(track, n_frames, seed, spacing_m=spacing)
+    samples: List[List[DetectionSample]] = [[] for _ in isps]
+    errors: List[List[float]] = [[] for _ in isps]
+    n_invalid = [0] * len(isps)
+    for pose in poses:
+        raw = renderer.render_raw(pose, situation.scene)
+        results = detect([pipeline.process(raw) for pipeline in isp_pipelines])
+        look = pose.position() + lookahead * pose.forward()
+        _, y_true = track.frenet(look[0], look[1])
+        for lane, result in enumerate(results):
+            samples[lane].append(
+                DetectionSample(
+                    measured_y_l=result.y_l,
+                    true_y_l=float(y_true),
+                    valid=result.valid,
+                )
+            )
+            if result.valid:
+                errors[lane].append(abs(result.y_l - float(y_true)))
+            else:
+                n_invalid[lane] += 1
+    return [
+        SequenceStats(
+            samples=samples[lane],
+            errors=np.asarray(errors[lane]),
+            n_invalid=n_invalid[lane],
+        )
+        for lane in range(len(isps))
+    ]
+
+
 def evaluate_sequence(
     situation: Situation,
     isp: str,
@@ -132,40 +185,14 @@ def evaluate_sequence(
         dense baseline); receives the ISP output frame.
     """
     camera = camera or CameraModel(width=384, height=192)
-    track = static_situation_track(situation, length=track_length)
-    track_length = track.length  # curved tracks may be capped
-    renderer = RoadSceneRenderer(camera, track, seed=seed)
-    isp_pipeline = IspPipeline(isp)
-    pipeline = None
     if detector is None:
-        pipeline = PerceptionPipeline(
+        detector = PerceptionPipeline(
             camera, roi, lookahead=lookahead, temporal_tracking=temporal_tracking
-        )
-        detector = pipeline.process
-
-    spacing = (track_length - 40.0) / n_frames
-    poses = trajectory_poses(track, n_frames, seed, spacing_m=spacing)
-    samples: List[DetectionSample] = []
-    errors: List[float] = []
-    n_invalid = 0
-    for pose in poses:
-        raw = renderer.render_raw(pose, situation.scene)
-        rgb = isp_pipeline.process(raw)
-        result = detector(rgb)
-        look = pose.position() + lookahead * pose.forward()
-        _, y_true = track.frenet(look[0], look[1])
-        samples.append(
-            DetectionSample(
-                measured_y_l=result.y_l, true_y_l=float(y_true), valid=result.valid
-            )
-        )
-        if result.valid:
-            errors.append(abs(result.y_l - float(y_true)))
-        else:
-            n_invalid += 1
-    return SequenceStats(
-        samples=samples, errors=np.asarray(errors), n_invalid=n_invalid
-    )
+        ).process
+    return _evaluate_lanes(
+        situation, [isp], camera, n_frames, seed, lookahead, track_length,
+        lambda rgbs: [detector(rgbs[0])],
+    )[0]
 
 
 def evaluate_sequence_batch(
@@ -192,45 +219,13 @@ def evaluate_sequence_batch(
     roi, ...)`` with the same arguments.
     """
     camera = camera or CameraModel(width=384, height=192)
-    track = static_situation_track(situation, length=track_length)
-    track_length = track.length  # curved tracks may be capped
-    renderer = RoadSceneRenderer(camera, track, seed=seed)
-    isp_pipelines = [IspPipeline(isp) for isp in isps]
     pipelines = [
         PerceptionPipeline(
             camera, roi, lookahead=lookahead, temporal_tracking=temporal_tracking
         )
         for _ in isps
     ]
-
-    spacing = (track_length - 40.0) / n_frames
-    poses = trajectory_poses(track, n_frames, seed, spacing_m=spacing)
-    samples: List[List[DetectionSample]] = [[] for _ in isps]
-    errors: List[List[float]] = [[] for _ in isps]
-    n_invalid = [0] * len(isps)
-    for pose in poses:
-        raw = renderer.render_raw(pose, situation.scene)
-        rgbs = [pipeline.process(raw) for pipeline in isp_pipelines]
-        results = process_batch(pipelines, rgbs)
-        look = pose.position() + lookahead * pose.forward()
-        _, y_true = track.frenet(look[0], look[1])
-        for lane, result in enumerate(results):
-            samples[lane].append(
-                DetectionSample(
-                    measured_y_l=result.y_l,
-                    true_y_l=float(y_true),
-                    valid=result.valid,
-                )
-            )
-            if result.valid:
-                errors[lane].append(abs(result.y_l - float(y_true)))
-            else:
-                n_invalid[lane] += 1
-    return [
-        SequenceStats(
-            samples=samples[lane],
-            errors=np.asarray(errors[lane]),
-            n_invalid=n_invalid[lane],
-        )
-        for lane in range(len(isps))
-    ]
+    return _evaluate_lanes(
+        situation, isps, camera, n_frames, seed, lookahead, track_length,
+        lambda rgbs: process_batch(pipelines, rgbs),
+    )

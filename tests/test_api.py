@@ -65,6 +65,19 @@ class TestFacade:
         assert np.array_equal(via_api.steering, direct.steering)
         assert via_api.cycles == direct.cycles
 
+    def test_numpy_integer_seed_is_a_single_seed(self):
+        """``for s in np.arange(n): simulate(seed=s)`` runs one seed."""
+        plain = repro.simulate(length_m=40.0, seed=3, frame=FRAME)
+        numpy_seed = repro.simulate(length_m=40.0, seed=np.int64(3), frame=FRAME)
+        for name in ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed"):
+            assert getattr(numpy_seed, name).tobytes() == getattr(plain, name).tobytes()
+        assert numpy_seed.cycles == plain.cycles
+        assert numpy_seed.manifest["config_hash"] == plain.manifest["config_hash"]
+
+    def test_non_integer_seed_in_a_sequence_is_rejected(self):
+        with pytest.raises(TypeError):
+            repro.simulate(length_m=40.0, seed=[1.5], frame=FRAME)
+
     def test_shortcut_keywords_compose_with_config(self):
         base = HilConfig(seed=7, **FAST)
         from_config = repro.simulate(length_m=70.0, config=base)

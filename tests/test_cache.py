@@ -191,6 +191,15 @@ class TestResolveCache:
 # facade integration
 
 
+def _assert_same_trace(a: HilResult, b: HilResult) -> None:
+    """Bitwise equality of two simulated traces (wall clock aside)."""
+    for field in ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert a.cycles == b.cycles
+    assert (a.crashed, a.completed) == (b.crashed, b.completed)
+    assert a.manifest["config_hash"] == b.manifest["config_hash"]
+
+
 class TestFacadeCache:
     def test_hit_is_byte_identical_including_manifest(self, tmp_path):
         store = tmp_path / "store"
@@ -203,6 +212,24 @@ class TestFacadeCache:
         # The stored manifest keeps the original run's wall clock, so
         # the hit manifest is equal *including* the volatile fields.
         assert cold.manifest == warm.manifest
+
+    def test_single_seed_is_a_seed_list_of_one(self):
+        single = repro.api.simulate(**QUICK)
+        (listed,) = repro.api.simulate(**{**QUICK, "seed": [QUICK["seed"]]})
+        _assert_same_trace(single, listed)
+
+    def test_partial_hits_only_roll_the_misses(self, tmp_path):
+        store = tmp_path / "store"
+        quick = {k: v for k, v in QUICK.items() if k != "seed"}
+        repro.api.simulate(**quick, seed=2, cache=store)
+        before = global_stats().snapshot()
+        cached = repro.api.simulate(**quick, seed=[1, 2, 3], cache=store)
+        delta = global_stats().since(before)
+        assert (delta.hits, delta.misses, delta.stores) == (1, 2, 2)
+        live = repro.api.simulate(**quick, seed=[1, 2, 3])
+        assert len(cached) == len(live) == 3
+        for hit_or_fresh, rerun in zip(cached, live):
+            _assert_same_trace(hit_or_fresh, rerun)
 
     def test_key_document_carries_the_kernel_identity(self):
         from repro.hil.engine import HilConfig

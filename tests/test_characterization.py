@@ -11,6 +11,8 @@ from repro.core.characterization import (
     prescreen_isp,
     roi_candidates,
     _collect_outcomes,
+    _knob_tasks,
+    _run_knob_tasks,
     _select_isp_candidates,
 )
 from repro.core.situation import situation_by_index
@@ -121,6 +123,53 @@ class TestParallelDeterminism:
         serial = prescreen_isp(situation, TINY_FAST, jobs=1)
         pooled = prescreen_isp(situation, TINY_FAST, jobs=2)
         assert pooled == serial
+
+
+def _same_outcome(a, b):
+    """Outcome equality including the fresh trace (wall clock aside)."""
+    assert a.evaluation == b.evaluation
+    assert a.document == b.document
+    assert (a.result is None) == (b.result is None)
+    if a.result is None:
+        return
+    for name in ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed"):
+        assert getattr(a.result, name).tobytes() == getattr(b.result, name).tobytes()
+    assert a.result.cycles == b.result.cycles
+    assert (a.result.crashed, a.result.completed) == (b.result.crashed, b.result.completed)
+    volatile = ("wall_clock",)
+    assert {k: v for k, v in a.result.manifest.items() if k not in volatile} == {
+        k: v for k, v in b.result.manifest.items() if k not in volatile
+    }
+
+
+class TestBatchComposition:
+    """``batch=1`` (chunks of one) and batched chunks give one sweep."""
+
+    @pytest.mark.parametrize("index", [1, 8], ids=["straight", "curved"])
+    def test_characterize_batch1_equals_auto(self, index):
+        situations = [situation_by_index(index)]
+        one = characterize(situations, TINY_FAST, use_cache=False, batch=1)
+        auto = characterize(situations, TINY_FAST, use_cache=False, batch="auto")
+        assert one == auto
+
+    def test_prescreen_batch1_equals_batch4(self):
+        situation = situation_by_index(8)
+        assert prescreen_isp(situation, TINY_FAST, batch=1) == prescreen_isp(
+            situation, TINY_FAST, batch=4
+        )
+
+    def test_knob_tasks_chunks_of_one_equal_chunks_of_two(self, tmp_path):
+        situation = situation_by_index(8)
+        tasks = _knob_tasks(
+            situation, ["S7"], TINY_FAST, cache_root=str(tmp_path / "store")
+        )
+        assert len(tasks) == 2
+        one = _run_knob_tasks(tasks, 1, 1)
+        two = _run_knob_tasks(tasks, 1, 2)
+        assert len(one) == len(two) == len(tasks)
+        for a, b in zip(one, two):
+            assert a.document is not None and a.result is not None
+            _same_outcome(a, b)
 
 
 class TestFailureCollection:
