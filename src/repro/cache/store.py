@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -32,7 +31,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.keys import rollout_key
-from repro.utils.cache import _STALE_TMP_AGE_S, default_cache_dir
+from repro.utils.cache import _LOAD_ERRORS, _STALE_TMP_AGE_S, default_cache_dir
 
 __all__ = [
     "CacheStats",
@@ -84,10 +83,6 @@ _GLOBAL_STATS = CacheStats()
 def global_stats() -> CacheStats:
     """The process-wide cache counters (mutated by counting stores)."""
     return _GLOBAL_STATS
-
-
-#: npz members np.load may fail on for a corrupt/truncated entry.
-_LOAD_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile)
 
 
 class RolloutCache:

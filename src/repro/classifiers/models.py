@@ -96,13 +96,11 @@ class SituationClassifier:
     def predict_frame(self, frame_rgb: np.ndarray):
         """Classify a full ISP output frame.
 
-        The frame is block-averaged down to the network input; its size
-        must be an integer multiple of the input spatial dims.
+        The frame is block-averaged down to the network input by one
+        integer factor shared by both axes; the result must match
+        ``input_shape`` exactly, or :meth:`predict_proba` raises.  The
+        closed loop classifies each lane's frame with its own call.
         """
-        return self.predict(self._network_input(frame_rgb))
-
-    def _network_input(self, frame_rgb: np.ndarray) -> np.ndarray:
-        """Block-average a full frame down to the ``(C, H, W)`` input."""
         from repro.classifiers.dataset import to_network_input
 
         _, h, w = self.input_shape
@@ -112,22 +110,4 @@ class SituationClassifier:
             raise ValueError(
                 f"frame {frame_rgb.shape[:2]} incompatible with input {(h, w)}"
             )
-        return to_network_input(frame_rgb, factor_h)
-
-    def predict_frames(self, frames_rgb: Sequence[np.ndarray]) -> list:
-        """Classify a batch of frames through one stacked forward pass.
-
-        Preprocessing runs per frame (identical to
-        :meth:`predict_frame`), the network runs once over the stacked
-        ``(B, C, H, W)`` batch via
-        :meth:`repro.nn.model.Sequential.forward_rows`, and softmax/
-        argmax reduce each row on its own — so every prediction is
-        bit-identical to the serial call for that frame.
-        """
-        stacked = np.stack([self._network_input(f) for f in frames_rgb])
-        logits = self.model.forward_rows(stacked)
-        probas = softmax(logits)
-        return [
-            self.classes[int(np.argmax(probas[row]))]
-            for row in range(probas.shape[0])
-        ]
+        return self.predict(to_network_input(frame_rgb, factor_h))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -71,32 +71,3 @@ class CnnIdentifier(SituationIdentifier):
         for name in which:
             result[name] = self.classifiers[name].predict_frame(frame_rgb)
         return result
-
-    def identify_batch(
-        self,
-        frames: Sequence[np.ndarray],
-        whichs: Sequence[Tuple[str, ...]],
-        true_situations: Sequence[Situation],
-    ) -> List[Dict[str, object]]:
-        """Identify many lanes' frames with one stacked forward per net.
-
-        *whichs* lists each lane's invoked classifiers; lanes invoking
-        the same classifier share a single
-        :meth:`SituationClassifier.predict_frames` call.  Returns one
-        feature dict per lane (keys in the lane's ``which`` order),
-        bit-identical to :meth:`identify` per lane.
-        """
-        by_name: Dict[str, List[int]] = {}
-        for lane, which in enumerate(whichs):
-            for name in which:
-                by_name.setdefault(name, []).append(lane)
-        preds: Dict[str, Dict[int, object]] = {}
-        for name, lanes in by_name.items():
-            labels = self.classifiers[name].predict_frames(
-                [frames[i] for i in lanes]
-            )
-            preds[name] = dict(zip(lanes, labels))
-        return [
-            {name: preds[name][lane] for name in which}
-            for lane, which in enumerate(whichs)
-        ]

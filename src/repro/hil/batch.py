@@ -15,8 +15,9 @@ leading-axis kernel calls per cycle:
 - **ISP** — lanes running the same configuration stack their RAW planes
   through :meth:`repro.isp.pipeline.IspPipeline.process_batch`, ISP
   fault taps applied per lane;
-- **classifier** — lanes sharing a :class:`CnnIdentifier` run one
-  stacked network forward (:meth:`CnnIdentifier.identify_batch`);
+- **classifier** — each lane calls its own identifier on its own frame
+  (:meth:`repro.hil.engine.HilEngine._cycle_classify`); a CNN forward
+  is dominated by its per-row GEMMs, so stacking lanes gains little;
 - **perception** — lanes sharing (camera, ROI, threshold params) share
   one BEV warp + dynamic threshold
   (:func:`repro.perception.pipeline.process_batch`).
@@ -34,9 +35,7 @@ DESIGN.md for the invariance argument).
 
 Lanes leave the active set as soon as they crash, finish the track, or
 exhaust their step budget; the survivors keep batching until the last
-lane retires.  A lane whose cycle takes a fault path with no batched
-equivalent (non-null classifier outcomes) calls its own identifier for
-that cycle — correctness never depends on batch composition.
+lane retires.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from repro.core.cases import CaseConfig
 from repro.core.knobs import KnobSetting
 from repro.core.reconfiguration import SituationIdentifier
 from repro.core.situation import Situation
-from repro.faults.injection import NullInjector
 from repro.hil.engine import HilConfig, HilEngine
 from repro.hil.record import HilResult
 from repro.perception.pipeline import PerceptionResult
@@ -143,12 +141,12 @@ class BatchedHilEngine:
     lane set.  Each lane's cycle carries its own simulated time; lanes
     are independent rollouts, so nothing couples their clocks.
 
-    Sharing track objects, camera sizes, ISP names, or identifier
-    instances across lanes is what unlocks the batched kernels, but
-    none of it is required — unshared lanes run their own one-lane
-    kernel calls and stay bit-identical either way.  The engine holds
-    no result cache: callers that reuse rollouts look each lane up
-    themselves and hand only the misses to the engine.
+    Sharing track objects, camera sizes, or ISP names across lanes is
+    what unlocks the batched kernels, but none of it is required —
+    unshared lanes run their own one-lane kernel calls and stay
+    bit-identical either way.  The engine holds no result cache:
+    callers that reuse rollouts look each lane up themselves and hand
+    only the misses to the engine.
     """
 
     def __init__(self, engines: Sequence[HilEngine]):
@@ -366,7 +364,8 @@ class BatchedHilEngine:
         if sensing:
             raws = self._render(due, pres, sensing)
             rgbs = self._isp(due, pres, sensing, raws)
-            self._classify(due, pres, sensing, rgbs)
+            for i in sensing:
+                due[i].engine._cycle_classify(self._t_ms(due[i]), pres[i], rgbs[i])
 
         decisions = []
         for i, (lane, pre) in enumerate(zip(due, pres)):
@@ -448,50 +447,6 @@ class BatchedHilEngine:
                 rgbs[i] = batch_rgb[j]
         return rgbs
 
-    def _classify(
-        self,
-        due: List[_Lane],
-        pres: list,
-        sensing: List[int],
-        rgbs: Dict[int, np.ndarray],
-    ) -> None:
-        """Stacked classifier forward where possible, then per-lane seams.
-
-        Only lanes whose injector is the stateless :class:`NullInjector`
-        may precompute features: their ``classifier_outcomes`` is
-        guaranteed ``None`` (the clean path), so handing the features to
-        :meth:`HilEngine._cycle_classify` skips exactly the per-lane
-        ``identify`` call and nothing else.  Any identifier exposing
-        ``identify_batch`` (e.g. ``CnnIdentifier``) qualifies; grouping
-        is by identifier *instance* — shared weights by construction.
-        """
-        features: Dict[int, dict] = {}
-        groups: Dict[int, List[int]] = {}
-        for i in sensing:
-            engine = due[i].engine
-            if (
-                pres[i].invoked
-                and type(engine.injector) is NullInjector
-                and getattr(engine.identifier, "identify_batch", None) is not None
-            ):
-                groups.setdefault(id(engine.identifier), []).append(i)
-        for members in groups.values():
-            if len(members) < 2:
-                continue  # the per-lane call inside _cycle_classify is as fast
-            identifier = due[members[0]].engine.identifier
-            with profile("hil.classifier", count=len(members)):
-                batched = identifier.identify_batch(
-                    [rgbs[i] for i in members],
-                    [pres[i].invoked for i in members],
-                    [pres[i].true_situation for i in members],
-                )
-            for j, i in enumerate(members):
-                features[i] = batched[j]
-        for i in sensing:
-            due[i].engine._cycle_classify(
-                self._t_ms(due[i]), pres[i], rgbs[i], features=features.get(i)
-            )
-
     def _perceive(
         self,
         due: List[_Lane],
@@ -532,7 +487,7 @@ def run_batch(
     string (resolved per lane, so each lane derives its own identifier
     RNG streams exactly as a serial run would) or a stateless
     identifier instance such as :class:`CnnIdentifier` (shared across
-    lanes, which is what enables the stacked classifier forward).
+    lanes; each lane still classifies its own frame).
     Results come back in config order, each bit-identical to
     ``HilEngine(...).run(start_s)`` for that lane.
     """

@@ -309,14 +309,8 @@ class HilEngine:
             state, s_now, true_situation, active_isp, invoked, rec, dropped
         )
 
-    def _cycle_classify(self, t_ms, pre: _CyclePre, rgb, features=None) -> None:
-        """Phase 2b: classifier invocation + identification bookkeeping.
-
-        *features* short-circuits the identifier call with a
-        pre-computed result (the lock-step engine's stacked classifier
-        forward); it is honoured only on the clean-outcome path, which
-        is the only path lanes eligible for batching can take.
-        """
+    def _cycle_classify(self, t_ms, pre: _CyclePre, rgb) -> None:
+        """Phase 2b: classifier invocation + identification bookkeeping."""
         invoked = pre.invoked
         rec = pre.rec
         # None means every invocation is clean (the only path the
@@ -330,11 +324,10 @@ class HilEngine:
                         time_ms=t_ms,
                         classifiers=list(invoked),
                     )
-                if features is None:
-                    with profile("hil.classifier"):
-                        features = self.identifier.identify(
-                            rgb, invoked, pre.true_situation
-                        )
+                with profile("hil.classifier"):
+                    features = self.identifier.identify(
+                        rgb, invoked, pre.true_situation
+                    )
                 self.manager.integrate_identification(features)
             self.manager.note_identification(t_ms, invoked)
         else:

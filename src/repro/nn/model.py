@@ -17,7 +17,6 @@ from repro.utils.contracts import check_finite, check_shapes
 from repro.nn.layers import (
     BatchNorm2D,
     Conv2D,
-    Dense,
     Layer,
     Parameter,
     ReLU,
@@ -25,14 +24,6 @@ from repro.nn.layers import (
 )
 
 __all__ = ["Sequential", "ResidualBlock", "FusedResidualBlock"]
-
-
-def _forward_per_row(layer: Layer, x: np.ndarray) -> np.ndarray:
-    """Apply a GEMM-backed layer row by row, stacking the results."""
-    return np.concatenate(
-        [layer.forward(x[row : row + 1]) for row in range(x.shape[0])],
-        axis=0,
-    )
 
 
 class Sequential(Layer):
@@ -60,29 +51,6 @@ class Sequential(Layer):
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
-
-    @check_finite("x", result=True)
-    def forward_rows(self, x: np.ndarray) -> np.ndarray:
-        """Inference forward of a stacked batch, bit-identical per row.
-
-        Pooling and elementwise layers are batch-invariant over the
-        leading axis, so they run stacked; GEMM-backed layers are not —
-        BLAS picks its kernel blocking from the total matrix size, so
-        the same row can accumulate in a different order inside a bigger
-        batch (``Dense`` via gemv-vs-gemm, ``Conv2D`` via the flat
-        im2col GEMM whose column count scales with the batch).  Those
-        run one row at a time into the stacked result, keeping each
-        lane's reduction order exactly serial.  Row *i* of the result is
-        therefore bitwise equal to ``forward(x[i:i+1])``.
-        """
-        for layer in self.layers:
-            if isinstance(layer, (Conv2D, Dense)):
-                x = _forward_per_row(layer, x)
-            elif isinstance(layer, (Sequential, ResidualBlock, FusedResidualBlock)):
-                x = layer.forward_rows(x)
-            else:
-                x = layer.forward(x, False)
-        return x
 
     def fuse(self) -> "Sequential":
         """An inference-only copy with frozen BatchNorms folded away.
@@ -177,16 +145,6 @@ class ResidualBlock(Layer):
             grad_skip = grad
         return grad_main + grad_skip
 
-    def forward_rows(self, x: np.ndarray) -> np.ndarray:
-        """Batched inference, bit-identical per row (see Sequential)."""
-        out = _forward_per_row(self.conv1, x)
-        out = self.bn1.forward(out, False)
-        out = self.relu1.forward(out, False)
-        out = _forward_per_row(self.conv2, out)
-        out = self.bn2.forward(out, False)
-        skip = x if self.projection is None else _forward_per_row(self.projection, x)
-        return self.relu2.forward(out + skip, False)
-
 
 class FusedResidualBlock(Layer):
     """Inference-only residual block with BN folded into its convs.
@@ -218,18 +176,6 @@ class FusedResidualBlock(Layer):
         out = self.conv2.forward(out)
         if self.projection is not None:
             out += self.projection.forward(x)
-        else:
-            out += x
-        np.maximum(out, 0.0, out=out)
-        return out
-
-    def forward_rows(self, x: np.ndarray) -> np.ndarray:
-        """Batched inference, bit-identical per row (see Sequential)."""
-        out = _forward_per_row(self.conv1, x)
-        np.maximum(out, 0.0, out=out)
-        out = _forward_per_row(self.conv2, out)
-        if self.projection is not None:
-            out += _forward_per_row(self.projection, x)
         else:
             out += x
         np.maximum(out, 0.0, out=out)

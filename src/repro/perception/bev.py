@@ -10,8 +10,8 @@ turn) makes markings drift sideways and leave the window, reproducing
 the paper's robustness failures.
 
 Because the camera mounting and the preset are fixed, the bilinear
-sample coordinates are precomputed once; the per-frame cost is a single
-gather + blend.
+taps are precomputed once into a sparse resampling operator; the
+per-frame cost is a single sparse matmul.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.perception.roi import RoiPreset
 from repro.sim.camera import CameraModel
@@ -75,18 +76,28 @@ class BevGrid:
 
         u0 = np.floor(u).astype(np.int32)
         v0 = np.floor(v).astype(np.int32)
+        fu = (u - u0).ravel()
+        fv = (v - v0).ravel()
         self._inside = inside
-        self._flat00 = (v0 * camera.width + u0).ravel()
-        self._flat01 = (v0 * camera.width + u0 + 1).ravel()
-        self._flat10 = ((v0 + 1) * camera.width + u0).ravel()
-        self._flat11 = ((v0 + 1) * camera.width + u0 + 1).ravel()
-        fu = (u - u0).ravel()[:, None]
-        fv = (v - v0).ravel()[:, None]
-        self._w00 = ((1 - fu) * (1 - fv)).astype(np.float32)
-        self._w01 = (fu * (1 - fv)).astype(np.float32)
-        self._w10 = ((1 - fu) * fv).astype(np.float32)
-        self._w11 = (fu * fv).astype(np.float32)
-        self._sparse = None  # csr gather operator, built on first warp_batch
+        # One csr row per BEV cell holding its four bilinear taps in
+        # (00, 01, 10, 11) column order.  The taps of a cell are
+        # strictly increasing flat indices, so csr's sequential
+        # accumulation is the left-associated sum
+        # ((f00*w00 + f01*w01) + f10*w10) + f11*w11.
+        flat00 = (v0 * camera.width + u0).ravel()
+        cols = np.stack(
+            [flat00, flat00 + 1, flat00 + camera.width, flat00 + camera.width + 1],
+            axis=1,
+        ).ravel()
+        data = np.stack(
+            [(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv],
+            axis=1,
+        ).astype(np.float32).ravel()
+        n_cells = n_rows * n_cols
+        indptr = np.arange(0, 4 * n_cells + 1, 4, dtype=np.int32)
+        self._operator = sparse.csr_matrix(
+            (data, cols, indptr), shape=(n_cells, camera.height * camera.width)
+        )
 
     @property
     def inside(self) -> np.ndarray:
@@ -117,61 +128,14 @@ class BevGrid:
         ``(n_rows, n_cols)`` or ``(n_rows, n_cols, C)`` BEV image; cells
         whose ground point projects outside the frame are zero.
         """
-        cam = self.camera
-        if frame.shape[:2] != (cam.height, cam.width):
-            raise ValueError(
-                f"frame shape {frame.shape[:2]} does not match camera "
-                f"({cam.height}, {cam.width})"
-            )
-        channels = 1 if frame.ndim == 2 else frame.shape[2]
-        flat = frame.reshape(-1, channels).astype(np.float32, copy=False)
-        out = (
-            flat[self._flat00] * self._w00
-            + flat[self._flat01] * self._w01
-            + flat[self._flat10] * self._w10
-            + flat[self._flat11] * self._w11
-        )
-        out = out.reshape(self.n_rows, self.n_cols, channels)
-        out[~self._inside] = 0.0
-        if frame.ndim == 2:
-            return out[..., 0]
-        return out
-
-    def _sparse_operator(self):
-        # One csr row per BEV cell holding its four bilinear taps in
-        # (00, 01, 10, 11) column order; the taps of a cell are strictly
-        # increasing flat indices, so csr's sequential accumulation
-        # reproduces the exact left-associated sum of :meth:`warp`.
-        if self._sparse is None:
-            from scipy import sparse
-
-            n_cells = self.n_rows * self.n_cols
-            indptr = np.arange(0, 4 * n_cells + 1, 4, dtype=np.int32)
-            cols = np.stack(
-                [self._flat00, self._flat01, self._flat10, self._flat11],
-                axis=1,
-            ).ravel()
-            data = np.stack(
-                [
-                    self._w00[:, 0],
-                    self._w01[:, 0],
-                    self._w10[:, 0],
-                    self._w11[:, 0],
-                ],
-                axis=1,
-            ).ravel()
-            hw = self.camera.height * self.camera.width
-            self._sparse = sparse.csr_matrix(
-                (data, cols, indptr), shape=(n_cells, hw)
-            )
-        return self._sparse
+        return self.warp_batch(frame[None])[0]
 
     def warp_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Resample stacked frames ``(B, H, W[, C])`` in one gather+blend.
+        """Resample stacked frames ``(B, H, W[, C])`` with one sparse matmul.
 
-        The blend runs as a single sparse matmul whose per-cell
-        accumulation order matches :meth:`warp`, so every lane's BEV
-        equals :meth:`warp` of that lane bit for bit.
+        Frames and channels are columns of the right-hand side and each
+        cell sums its four taps in a fixed order, so every lane's BEV is
+        independent of the other frames in the stack, bit for bit.
         """
         cam = self.camera
         if frames.shape[1:3] != (cam.height, cam.width):
@@ -184,7 +148,7 @@ class BevGrid:
         hw = cam.height * cam.width
         flat = frames.reshape(batch, hw, channels).astype(np.float32, copy=False)
         stacked = flat.transpose(1, 0, 2).reshape(hw, batch * channels)
-        out = self._sparse_operator() @ stacked
+        out = self._operator @ stacked
         out = (
             out.reshape(self.n_rows, self.n_cols, batch, channels)
             .transpose(2, 0, 1, 3)

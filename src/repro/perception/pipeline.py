@@ -141,18 +141,13 @@ class PerceptionPipeline:
         which keeps sparse dash patterns tracked through their gaps.
         Hints expire after :data:`MAX_HINT_MISSES` consecutive misses.
         """
-        grid = self._grid()
-        with profile("pr.warp"):
-            bev = grid.warp(frame_rgb)
-        with profile("pr.threshold"):
-            mask = dynamic_threshold(bev, self.threshold_params, valid=grid.inside)
-        return self._finish_mask(mask, grid)
+        return process_batch([self], [frame_rgb])[0]
 
     def _finish_mask(self, mask: np.ndarray, grid: BevGrid) -> PerceptionResult:
         """Sliding windows + fit + hint bookkeeping on a threshold mask.
 
-        The tail half of :meth:`process`; the batched path computes the
-        mask for many lanes in one call and finishes each lane here.
+        The per-lane tail of :func:`process_batch`, which computes the
+        masks of a whole lane group in one call.
         """
         hints = self._hints if self.temporal_tracking else None
         with profile("pr.window"):
@@ -223,8 +218,8 @@ def process_batch(
     :meth:`BevGrid.warp_batch` + batched :func:`dynamic_threshold`
     call, then every lane finishes (sliding windows, fit, temporal
     hints) on its own pipeline state.  Results are returned in lane
-    order and are bit-identical to calling ``pipelines[i].process``
-    per lane.
+    order, each independent of the other lanes in the call;
+    :meth:`PerceptionPipeline.process` is the call with one lane.
     """
     n_lanes = len(pipelines)
     results: List[PerceptionResult] = [None] * n_lanes  # type: ignore[list-item]

@@ -17,6 +17,7 @@ import json
 import os
 import tempfile
 import time
+import zipfile
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -27,6 +28,9 @@ __all__ = ["ArtifactCache", "config_hash", "default_cache_dir"]
 #: Orphaned ``*.npz.tmp`` files older than this are swept on store();
 #: young ones may belong to a concurrent writer mid-flight.
 _STALE_TMP_AGE_S = 3600.0
+
+#: What ``np.load`` of a corrupt or truncated ``.npz`` entry may raise.
+_LOAD_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile)
 
 
 def default_cache_dir() -> Path:
@@ -86,7 +90,7 @@ class ArtifactCache:
         try:
             with np.load(path, allow_pickle=False) as data:
                 return {name: data[name] for name in data.files}
-        except (OSError, ValueError):
+        except _LOAD_ERRORS:
             # A corrupt cache entry behaves like a miss.
             return None
 

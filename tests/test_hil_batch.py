@@ -5,7 +5,7 @@ Lane traces are invariant to batch composition.  A serial
 lane, so every test here pits lanes of a larger batch (or one of its
 facades) against the same configs run alone and asserts the full
 traces are *exactly* equal — for lanes that crash mid-batch, finish
-early, or carry fault plans.  The independent reference is the golden
+early, carry fault plans, or share one CNN identifier.  The independent reference is the golden
 corpus (``tests/test_golden_traces.py``).
 """
 
@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.classifiers.dataset import LANE_CLASSES, ROAD_CLASSES, SCENE_CLASSES
+from repro.classifiers.models import SituationClassifier, build_tiny_resnet
+from repro.classifiers.runtime import CnnIdentifier
 from repro.core.situation import situation_by_index
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import ClassifierTimeout, ClassifierWrongLabel, FaultPlan
 from repro.hil.batch import BatchedHilEngine, run_batch
 from repro.hil.engine import HilConfig, HilEngine
 from repro.sim.world import static_situation_track
@@ -42,8 +45,25 @@ def assert_results_equal(a, b):
     assert a.completed == b.completed
 
 
-def _serial(track, case, config):
-    return HilEngine(track, case, config=config).run()
+def _serial(track, case, config, identifier=None):
+    return HilEngine(track, case, identifier=identifier, config=config).run()
+
+
+def _untrained_cnn() -> CnnIdentifier:
+    """Tiny untrained ResNets for all three classifiers, input (3, 24, 48).
+
+    Their labels are arbitrary but deterministic, which is all a
+    batch-composition test needs; no training runs.
+    """
+    classes = {"road": ROAD_CLASSES, "lane": LANE_CLASSES, "scene": SCENE_CLASSES}
+    return CnnIdentifier(
+        {
+            name: SituationClassifier(
+                name, build_tiny_resnet(len(labels), seed=k), labels, (3, 24, 48)
+            )
+            for k, (name, labels) in enumerate(classes.items())
+        }
+    )
 
 
 class TestBitIdentity:
@@ -158,6 +178,51 @@ class TestBitIdentity:
             assert_results_equal(result, _serial(track, "case2", cfg))
         sensed = sum(len(result.cycles) for result in batched)
         assert batched[0].profile["hil.isp"].count == sensed
+
+
+class TestSharedCnnIdentifier:
+    """Lanes sharing one :class:`CnnIdentifier` instance in the loop."""
+
+    def test_lanes_match_serial_with_classifier_faults(self):
+        """A shared CNN classifies every lane exactly as a run alone does,
+        with wrong-label and timeout faults firing on the middle lane."""
+        track = _track(length=60.0)
+        identifier = _untrained_cnn()
+        # Fault presets start at 1500 ms; these fire from the first cycle.
+        faults = FaultPlan(
+            (
+                ClassifierWrongLabel(0.0, float("inf"), probability=0.5),
+                ClassifierTimeout(0.0, float("inf"), probability=0.3),
+            )
+        )
+        fast = dict(frame_width=96, frame_height=48, max_sim_time_s=1.0)
+        configs = [
+            HilConfig(seed=1, **fast),
+            HilConfig(seed=2, fault_plan=faults, **fast),
+            HilConfig(seed=3, **fast),
+        ]
+        batched = run_batch(configs, track=track, case="case4", identifier=identifier)
+        assert any(c.faults for c in batched[1].cycles)
+        assert not any(c.faults for c in batched[0].cycles + batched[2].cycles)
+        for cfg, result in zip(configs, batched):
+            assert result.cycles and any(c.invoked for c in result.cycles)
+            assert_results_equal(result, _serial(track, "case4", cfg, identifier))
+
+    def test_incompatible_frame_raises_in_any_batch(self):
+        """A 104x48 frame downsamples to (3, 24, 52), not the net's
+        (3, 24, 48): the lane raises whether it runs alone or shares
+        its identifier with another lane."""
+        track = _track(length=60.0)
+        identifier = _untrained_cnn()
+        config = HilConfig(frame_width=104, frame_height=48, max_sim_time_s=1.0)
+        for n_lanes in (1, 2):
+            with pytest.raises(ValueError, match="input shape"):
+                run_batch(
+                    [config] * n_lanes,
+                    track=track,
+                    case="case4",
+                    identifier=identifier,
+                )
 
 
 class TestFacades:

@@ -24,6 +24,39 @@ from repro.sim.renderer import RoadSceneRenderer
 from repro.sim.world import static_situation_track
 
 
+def _reference_warp(grid, frame):
+    """``(inside, bev)`` of the explicit bilinear formulation of the BEV.
+
+    Each cell reads its four neighbouring pixels and sums them
+    left-associated, ``((f00*w00 + f01*w01) + f10*w10) + f11*w11``, in
+    float32; cells whose ground point projects outside the frame are 0.
+    """
+    cam = grid.camera
+    x = np.broadcast_to(grid.x_axis[:, None], (grid.n_rows, grid.n_cols))
+    y = grid.roi.center_offset(grid.x_axis[:, None]) + grid.lat_axis[None, :]
+    u, v = cam.project(x, y)
+    u = np.asarray(u, dtype=np.float32)
+    v = np.asarray(v, dtype=np.float32)
+    inside = (u >= 0) & (u <= cam.width - 1) & (v >= 0) & (v <= cam.height - 1)
+    u = np.clip(u, 0, cam.width - 1.001)
+    v = np.clip(v, 0, cam.height - 1.001)
+    u0 = np.floor(u).astype(np.int32)
+    v0 = np.floor(v).astype(np.int32)
+    fu = (u - u0)[..., None]
+    fv = (v - v0)[..., None]
+    w00 = ((1 - fu) * (1 - fv)).astype(np.float32)
+    w01 = (fu * (1 - fv)).astype(np.float32)
+    w10 = ((1 - fu) * fv).astype(np.float32)
+    w11 = (fu * fv).astype(np.float32)
+    f = frame.astype(np.float32)
+    f = f[..., None] if f.ndim == 2 else f
+    out = (
+        (f[v0, u0] * w00 + f[v0, u0 + 1] * w01) + f[v0 + 1, u0] * w10
+    ) + f[v0 + 1, u0 + 1] * w11
+    out[~inside] = 0.0
+    return inside, out[..., 0] if frame.ndim == 2 else out
+
+
 class TestRoiPresets:
     def test_table2_names_present(self):
         assert set(ROI_PRESETS) == {f"ROI {i}" for i in range(1, 6)}
@@ -107,6 +140,27 @@ class TestBevGrid:
     def test_too_small_grid_rejected(self, small_camera):
         with pytest.raises(ValueError):
             BevGrid(small_camera, roi_preset("ROI 1"), n_rows=4, n_cols=4)
+
+    def test_warp_matches_left_associated_bilinear_reference(
+        self, small_camera, day_renderer, day_track
+    ):
+        """``warp`` equals the explicit four-tap bilinear sum, bit for bit.
+
+        The taps are rebuilt here from ``camera.project``; the ROI is
+        wide and long enough that some ground cells project outside the
+        frame, and those must come out zero.
+        """
+        roi = RoiPreset("wide", 0.02, 12.0, x_near=2.0, x_far=30.0)
+        grid = BevGrid(small_camera, roi, n_rows=32, n_cols=48)
+        rgb = day_renderer.render_rgb(day_track.pose_at(30.0, 0.2))
+        want_inside, want = _reference_warp(grid, rgb)
+        assert 0 < (~want_inside).sum() < want_inside.size
+        assert np.array_equal(grid.inside, want_inside)
+        for frame, expected in ((rgb, want), (rgb[..., 1], want[..., 1])):
+            got = grid.warp(frame)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert not got[~want_inside].any()
 
 
 class TestDynamicThreshold:

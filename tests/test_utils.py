@@ -102,11 +102,14 @@ class TestArtifactCache:
         assert cache.load({"a": 1}) is None
 
     def test_corrupt_entry_behaves_as_miss(self, tmp_path, monkeypatch):
+        """Garbage and truncated archives both load as a miss."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cache = ArtifactCache("unit", enabled=True)
         path = cache.store({"a": 1}, {"x": np.zeros(1)})
-        path.write_bytes(b"not an npz")
-        assert cache.load({"a": 1}) is None
+        intact = path.read_bytes()
+        for blob in (b"not an npz", intact[:40], intact[: len(intact) // 2], intact[:-10]):
+            path.write_bytes(blob)
+            assert cache.load({"a": 1}) is None, len(blob)
 
     def test_config_hash_order_independent(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
