@@ -6,8 +6,9 @@ characterization, Monte-Carlo studies) evaluate many *independent*
 rollouts whose per-cycle cost is dominated by numpy dispatch overhead,
 not arithmetic, so the engine advances B rollouts ("lanes") in lock
 step — lanes advance their own 5 ms plant steps and rendezvous at
-control cycles — and funnels the hot sensing stages through single
-leading-axis kernel calls per cycle:
+control cycles — and funnels the hot sensing stages through
+leading-axis kernel calls per cycle, stacking lanes only where a stack
+pays:
 
 - **render** — lanes sharing (track, camera, options) stack their poses
   over the shared per-situation photometry constants
@@ -18,9 +19,16 @@ leading-axis kernel calls per cycle:
 - **classifier** — each lane calls its own identifier on its own frame
   (:meth:`repro.hil.engine.HilEngine._cycle_classify`); a CNN forward
   is dominated by its per-row GEMMs, so stacking lanes gains little;
-- **perception** — lanes sharing (camera, ROI, threshold params) share
-  one BEV warp + dynamic threshold
-  (:func:`repro.perception.pipeline.process_batch`).
+- **perception** — lanes sharing (camera, ROI, threshold params) warp
+  one frame per csr product into one BEV stack and share one dynamic
+  threshold over it (:func:`repro.perception.pipeline.process_batch`).
+
+Render and ISP are frame-sized and memory-bound: a stack only pays
+while it stays in cache.  They stack at most :data:`STACK_PIXELS`
+pixels per call, so a 16-lane group at 48x24 still goes through whole,
+while at 384x192 (one frame is already 73,728 pixels, a 16-frame stack
+4.7 MB of RAW and 14 MB of RGB) every lane gets its own call, which
+runs ~1.1-1.2x faster per frame than the stack (DESIGN.md section 5).
 
 Between cycles, lanes sharing a plant configuration advance their
 5 ms steps as one stacked cohort (:meth:`Vehicle.step_batch` +
@@ -65,6 +73,19 @@ from repro.utils import profiling
 from repro.utils.profiling import profile
 
 __all__ = ["BatchedHilEngine", "run_batch"]
+
+#: Largest stack, in pixels, that render and ISP still run as one call:
+#: beyond it a lane group goes through in chunks of
+#: ``max(1, STACK_PIXELS // (H * W))`` lanes, one lane per chunk at
+#: 384x192.  Measured crossover of stacked vs one-lane-per-call
+#: kernels; ``benchmarks/bench_sensing_stack.py`` re-derives it.
+STACK_PIXELS = 2**16
+
+
+def _stack_chunks(members: List[int], frame_pixels: int) -> List[List[int]]:
+    """*members* in runs of at most ``STACK_PIXELS`` stacked pixels."""
+    size = max(1, STACK_PIXELS // frame_pixels)
+    return [members[k : k + size] for k in range(0, len(members), size)]
 
 
 @dataclass
@@ -406,12 +427,14 @@ class BatchedHilEngine:
 
         raws: Dict[int, np.ndarray] = {}
         for members in groups.values():
-            renderers = [due[i].engine.renderer for i in members]
-            poses = [pres[i].state.pose for i in members]
-            with profile("hil.render", count=len(members)):
-                stacked = render_raw_batch(renderers, poses)
-            for j, i in enumerate(members):
-                raws[i] = stacked[j]
+            camera = due[members[0]].engine.renderer.camera
+            for chunk in _stack_chunks(members, camera.height * camera.width):
+                renderers = [due[i].engine.renderer for i in chunk]
+                poses = [pres[i].state.pose for i in chunk]
+                with profile("hil.render", count=len(chunk)):
+                    stacked = render_raw_batch(renderers, poses)
+                for j, i in enumerate(chunk):
+                    raws[i] = stacked[j]
         for i in sensing:
             raws[i] = due[i].engine.injector.corrupt_raw(
                 self._t_ms(due[i]), raws[i]
@@ -434,17 +457,18 @@ class BatchedHilEngine:
         groups: Dict[tuple, List[int]] = {}
         for i in sensing:
             groups.setdefault((pres[i].active_isp, raws[i].shape), []).append(i)
-        for (isp_name, _), members in groups.items():
-            taps = [
-                due[i].engine.injector.isp_tap(self._t_ms(due[i])) for i in members
-            ]
+        for (isp_name, shape), members in groups.items():
             pipeline = due[members[0]].engine._isp(isp_name)
-            with profile("hil.isp", count=len(members)):
-                batch_rgb = pipeline.process_batch(
-                    np.stack([raws[i] for i in members]), taps=taps
-                )
-            for j, i in enumerate(members):
-                rgbs[i] = batch_rgb[j]
+            for chunk in _stack_chunks(members, shape[0] * shape[1]):
+                taps = [
+                    due[i].engine.injector.isp_tap(self._t_ms(due[i])) for i in chunk
+                ]
+                with profile("hil.isp", count=len(chunk)):
+                    batch_rgb = pipeline.process_batch(
+                        np.stack([raws[i] for i in chunk]), taps=taps
+                    )
+                for j, i in enumerate(chunk):
+                    rgbs[i] = batch_rgb[j]
         return rgbs
 
     def _perceive(

@@ -16,7 +16,7 @@ per-frame cost is a single sparse matmul.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -130,12 +130,16 @@ class BevGrid:
         """
         return self.warp_batch(frame[None])[0]
 
-    def warp_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Resample stacked frames ``(B, H, W[, C])`` with one sparse matmul.
+    def warp_batch(
+        self, frames: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Resample stacked frames ``(B, H, W[, C])``, one csr product each.
 
-        Frames and channels are columns of the right-hand side and each
-        cell sums its four taps in a fixed order, so every lane's BEV is
-        independent of the other frames in the stack, bit for bit.
+        Each lane is its own sparse matmul with its channels as the
+        right-hand-side columns, written into *out* (allocated when
+        ``None``; ``(B, n_rows, n_cols[, C])`` float32).  Every cell
+        sums its four taps in a fixed order, column by column, so a
+        lane's BEV is bit for bit independent of the other frames.
         """
         cam = self.camera
         if frames.shape[1:3] != (cam.height, cam.width):
@@ -143,20 +147,17 @@ class BevGrid:
                 f"frame shape {frames.shape[1:3]} does not match camera "
                 f"({cam.height}, {cam.width})"
             )
-        batch = frames.shape[0]
+        if out is None:
+            out = np.empty(
+                (frames.shape[0], self.n_rows, self.n_cols) + frames.shape[3:],
+                dtype=np.float32,
+            )
         channels = 1 if frames.ndim == 3 else frames.shape[3]
         hw = cam.height * cam.width
-        flat = frames.reshape(batch, hw, channels).astype(np.float32, copy=False)
-        stacked = flat.transpose(1, 0, 2).reshape(hw, batch * channels)
-        out = self._operator @ stacked
-        out = (
-            out.reshape(self.n_rows, self.n_cols, batch, channels)
-            .transpose(2, 0, 1, 3)
-            .copy()
-        )
+        for lane, frame in enumerate(frames):
+            flat = frame.reshape(hw, channels).astype(np.float32, copy=False)
+            out[lane] = (self._operator @ flat).reshape(out.shape[1:])
         out[:, ~self._inside] = 0.0
-        if frames.ndim == 3:
-            return out[..., 0]
         return out
 
     def vehicle_lateral(self, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -214,10 +214,12 @@ def process_batch(
     """Run one frame through each pipeline with batched warp+threshold.
 
     Lanes are grouped by (camera, active ROI, BEV shape, threshold
-    params); each group's frames go through a single
-    :meth:`BevGrid.warp_batch` + batched :func:`dynamic_threshold`
-    call, then every lane finishes (sliding windows, fit, temporal
-    hints) on its own pipeline state.  Results are returned in lane
+    params).  Each lane's frame is warped on its own, one csr product
+    straight into the group's BEV stack (a stack of camera frames would
+    only add a copy); the stacked BEVs go through one batched
+    :func:`dynamic_threshold` call, which does gain from stacking, then
+    every lane finishes (sliding windows, fit, temporal hints) on its
+    own pipeline state.  Results are returned in lane
     order, each independent of the other lanes in the call;
     :meth:`PerceptionPipeline.process` is the call with one lane.
     """
@@ -230,9 +232,10 @@ def process_batch(
     for lanes in groups.values():
         lead = pipelines[lanes[0]]
         grid = lead._grid()
-        stack = np.stack([frames[i] for i in lanes])
-        with profile("pr.warp", count=len(lanes)):
-            bev = grid.warp_batch(stack)
+        bev = np.empty((len(lanes), grid.n_rows, grid.n_cols, 3), dtype=np.float32)
+        for j, i in enumerate(lanes):
+            with profile("pr.warp"):
+                grid.warp_batch(frames[i][None], out=bev[j : j + 1])
         with profile("pr.threshold", count=len(lanes)):
             masks = dynamic_threshold(bev, lead.threshold_params, valid=grid.inside)
         for j, i in enumerate(lanes):

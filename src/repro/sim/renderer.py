@@ -122,6 +122,13 @@ class RoadSceneRenderer:
             gm.forward_footprint.ravel()[self._vidx], 1e-4
         ).astype(np.float32)
         self._local = np.stack([self._fwd, lateral], axis=-1)
+        # Lateral reach of the left (double pair, the widest form) and the
+        # right marking, plus a full footprint: coverage already clips to
+        # 0 half a footprint out, so the margin is safe against rounding.
+        self._left_reach = (
+            np.float32(DOUBLE_LINE_OFFSET + DOUBLE_LINE_HALF_WIDTH) + self._lat_fp
+        )
+        self._right_reach = np.float32(MARK_HALF_WIDTH) + self._lat_fp
         # Per-segment appearance tables are pose-independent: built once
         # here, reused by every frame (never recomputed per render).
         self._segment_tables = self._build_segment_tables()
@@ -274,26 +281,35 @@ class RoadSceneRenderer:
         texture = np.float32(opts.texture_amplitude) * _position_hash(s_pt, d_pt)
         albedo *= np.float32(1.0) + texture[..., None]
 
-        # 3. lane markings; the right marking is always a dotted line
+        # 3. lane markings, evaluated only at the paint candidates (flat
+        # sample indices); the right marking is always a dotted line
+        paint = np.flatnonzero(self._paint_candidates(d_pt, half))
+        cols = paint % n_pts
+        if raw:
+            yellow, white = yellow[cols], white[cols]
+        s_paint = s_pt.reshape(-1)[paint]
+        lat_fp, fwd_fp = self._lat_fp[cols], self._fwd_fp[cols]
         seg_idx = (
-            np.searchsorted(self._segment_tables[0], s_pt, side="right") - 1
+            np.searchsorted(self._segment_tables[0], s_paint, side="right") - 1
         ).clip(0, len(self.track.segments) - 1)
         form_code = self._segment_tables[1][seg_idx]
         color_code = self._segment_tables[2][seg_idx]
 
+        d_paint = d_pt.reshape(-1)[paint]
         left_cov = self._marking_coverage(
-            d_pt - half, s_pt, form_code, self._lat_fp, self._fwd_fp
+            d_paint - half, s_paint, form_code, lat_fp, fwd_fp
         )
         right_cov = _dashed(
-            _line_coverage(d_pt + half, MARK_HALF_WIDTH, self._lat_fp),
-            s_pt,
-            self._fwd_fp,
+            _line_coverage(d_paint + half, MARK_HALF_WIDTH, lat_fp), s_paint, fwd_fp
         )
         left_color = np.where(
             color_code[..., None] == _COLOR_CODE[LaneColor.YELLOW], yellow, white
         )
-        albedo += left_cov[..., None] * (left_color - albedo)
-        albedo += right_cov[..., None] * (white - albedo)
+        flat_albedo = albedo.reshape(batch * n_pts, -1)
+        painted = flat_albedo[paint]
+        painted += left_cov[..., None] * (left_color - painted)
+        painted += right_cov[..., None] * (white - painted)
+        flat_albedo[paint] = painted
 
         # 4. photometry: exposure, headlight falloff, tint, ambient.
         # Lane paint is retroreflective (glass beads): under headlight
@@ -303,7 +319,9 @@ class RoadSceneRenderer:
         if illum is not None:
             marking_cov = np.maximum(left_cov, right_cov)
             retro = np.float32(1.0) + np.float32(RETROREFLECTIVE_GAIN) * marking_cov
-            albedo *= (illum * retro)[..., None]
+            gain = np.broadcast_to(illum, (batch, n_pts)).copy()
+            gain.reshape(-1)[paint] = illum[cols] * retro
+            albedo *= gain[..., None]
         else:
             albedo *= np.float32(photometry.exposure)
         albedo *= tint
@@ -317,6 +335,18 @@ class RoadSceneRenderer:
         if raw:
             return frame.reshape(batch, cam.height, cam.width)
         return frame.reshape(batch, cam.height, cam.width, 3)
+
+    def _paint_candidates(self, d_pt: np.ndarray, half: float) -> np.ndarray:
+        """``(B, N)`` mask of the ground samples a lane line can reach.
+
+        Every other sample has coverage exactly ``0.0`` for both
+        markings, where the paint blend ``albedo += 0 * (c - albedo)``
+        and the retroreflective factor ``1 + 0.6 * 0`` are the identity
+        in float32, so step 3 of :meth:`_render` skips them bit-exactly.
+        """
+        return (np.abs(d_pt - half) < self._left_reach) | (
+            np.abs(d_pt + half) < self._right_reach
+        )
 
     @staticmethod
     def _marking_coverage(

@@ -372,6 +372,11 @@ class Track:
             Arrays of the points' arc lengths, lateral offsets, and a
             boolean mask marking points that fell inside some candidate
             segment (or its extrapolation at the track ends).
+
+        The first window segment claiming a point wins.  Each later
+        segment is evaluated only on the points still unclaimed (the
+        projection is elementwise, so a gathered point gets the same
+        bits), and the loop stops once every point is claimed.
         """
         pts = np.asarray(points_xy)
         if pts.dtype not in (np.float32, np.float64):
@@ -380,21 +385,30 @@ class Track:
         s_out = np.full(shape, np.nan, dtype=pts.dtype)
         d_out = np.full(shape, np.nan, dtype=pts.dtype)
         valid = np.zeros(shape, dtype=bool)
+        # The unclaimed points, and their flat indices into the outputs
+        # once a segment has claimed some (None while all are unclaimed).
+        pending = pts.reshape(-1, 2)
+        todo = None
 
         s_min, s_max = s_window
         for i, seg in enumerate(self.segments):
             if seg.s_end < s_min or seg.s_start > s_max:
                 continue
-            s_local, d = seg.locate(pts)
+            s_local, d = seg.locate(pending)
             inside = (s_local >= 0.0) & (s_local < seg.length)
             if i == 0:
                 inside |= s_local < 0.0
             if i == len(self.segments) - 1:
                 inside |= s_local >= seg.length
-            take = inside & ~valid
-            s_out[take] = seg.s_start + s_local[take]
-            d_out[take] = d[take]
-            valid |= take
+            take = inside if todo is None else todo[inside]
+            s_out.reshape(-1)[take] = seg.s_start + s_local[inside]
+            d_out.reshape(-1)[take] = d[inside]
+            valid.reshape(-1)[take] = True
+            if inside.all():
+                break
+            outside = ~inside
+            todo = np.flatnonzero(outside) if todo is None else todo[outside]
+            pending = pending[outside]
         return s_out, d_out, valid
 
     def start_pose(self, d: float = 0.0) -> Pose2D:

@@ -272,3 +272,111 @@ class TestFrenetBatch:
             s_ref, d_ref = track.frenet(xs[i], ys[i], s_hint=hints[i])
             assert s_ref == bs[i]
             assert d_ref == bd[i]
+
+
+def _claims(track, seg_index, pts):
+    """Whether segment *seg_index* claims each point (overshoot rules in)."""
+    seg = track.segments[seg_index]
+    s_local, _ = seg.locate(pts)
+    inside = (s_local >= 0.0) & (s_local < seg.length)
+    if seg_index == 0:
+        inside |= s_local < 0.0
+    if seg_index == len(track.segments) - 1:
+        inside |= s_local >= seg.length
+    return inside
+
+
+def _locate_all_segments(track, pts, s_window):
+    """Reference: every window segment evaluated on every point, the
+    first claimant winning."""
+    shape = pts.shape[:-1]
+    s_out = np.full(shape, np.nan, dtype=pts.dtype)
+    d_out = np.full(shape, np.nan, dtype=pts.dtype)
+    valid = np.zeros(shape, dtype=bool)
+    for i, seg in enumerate(track.segments):
+        if seg.s_end < s_window[0] or seg.s_start > s_window[1]:
+            continue
+        s_local, d = seg.locate(pts)
+        take = _claims(track, i, pts) & ~valid
+        s_out[take] = seg.s_start + s_local[take]
+        d_out[take] = d[take]
+        valid |= take
+    return s_out, d_out, valid
+
+
+class TestLocatePointsClaimOrder:
+    """``locate_points`` skips claimed points, the first claimant winning."""
+
+    @staticmethod
+    def _cloud(track, s, rng, n=400, spread=(3.0, 6.0)):
+        centre = track.pose_at(s)
+        local = rng.uniform(-1.0, 1.0, (n, 2)) * np.array(spread)
+        rot = rotation_matrix(centre.heading)
+        return centre.position() + local @ rot.T
+
+    def _assert_matches(self, track, pts, window):
+        got = track.locate_points(pts, window)
+        want = _locate_all_segments(track, pts, window)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        return got
+
+    def test_earlier_segment_wins_where_two_claim(self):
+        """A 270-degree hairpin between two straights: the closing
+        straight crosses the opening one, so points round the hairpin
+        fall inside several segments' ranges at once."""
+        radius = 5.0
+        track = Track.from_sections(
+            [
+                SectorSpec(20.0, 0.0, SIT),
+                SectorSpec(1.5 * np.pi * radius, 1.0 / radius, SIT),
+                SectorSpec(20.0, 0.0, SIT),
+            ]
+        )
+        rng = np.random.default_rng(5)
+        pts = self._cloud(track, 20.0 + 0.75 * np.pi * radius, rng, spread=(9.0, 9.0))
+        claims = [_claims(track, k, pts) for k in range(3)]
+        s, d, valid = self._assert_matches(track, pts, (0.0, track.length))
+        # The closing straight crosses the opening one and runs past the
+        # hairpin: both earlier segments share points with it.
+        for earlier in (0, 1):
+            both = claims[earlier] & claims[2]
+            assert both.any(), earlier
+            seg = track.segments[earlier]
+            s_local, d_local = seg.locate(pts[both])
+            assert np.array_equal(s[both], seg.s_start + s_local)
+            assert np.array_equal(d[both], d_local)
+        # The opening straight and the hairpin claim every point, so the
+        # closing straight is never evaluated.
+        assert valid.all()
+
+    def test_first_and_last_segment_overshoot(self, dynamic_track):
+        rng = np.random.default_rng(6)
+        first, last = dynamic_track.segments[0], dynamic_track.segments[-1]
+        before = first.start.position() - 8.0 * first.start.forward()
+        beyond = last.end_pose()
+        beyond = beyond.position() + 8.0 * beyond.forward()
+        length = dynamic_track.length
+        for centre, window, overshoot in (
+            (before, (-30.0, 30.0), lambda s: s < 0.0),
+            (beyond, (length - 30.0, length + 30.0), lambda s: s > length),
+        ):
+            pts = centre + rng.normal(0.0, 1.0, (50, 2))
+            s, _, valid = self._assert_matches(dynamic_track, pts, window)
+            assert valid.all() and overshoot(s).all()
+
+    def test_window_without_segments(self, dynamic_track):
+        pts = self._cloud(dynamic_track, 50.0, np.random.default_rng(7))
+        s, d, valid = self._assert_matches(dynamic_track, pts, (1e6, 2e6))
+        assert np.isnan(s).all() and np.isnan(d).all() and not valid.any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_points(self, dynamic_track, dtype):
+        rng = np.random.default_rng(8)
+        pts = np.stack(
+            [self._cloud(dynamic_track, s, rng, n=300) for s in (40.0, 160.0, 300.0)]
+        ).astype(dtype)
+        assert pts.shape == (3, 300, 2)
+        s, _, valid = self._assert_matches(dynamic_track, pts, (20.0, 330.0))
+        assert s.dtype == dtype and valid.shape == (3, 300) and valid.any()

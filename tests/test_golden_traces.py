@@ -9,14 +9,19 @@ version *and* regenerate the corpus (``python tests/golden_corpus.py``).
 
 Result comparison is bitwise on every trace array (dtype, shape and raw
 buffer), exact on cycle records and crash flags, and exact on the run
-manifest minus its volatile wall-clock bounds.  Trace comparison goes
-through :func:`repro.telemetry.diff_traces`, so a mismatch fails with a
-readable line-by-line diff instead of a bare assert.
+manifest minus its volatile wall-clock bounds.  A result mismatch is
+triaged (:func:`triage`): every differing array with its first index
+and max ulp drift, the first divergent cycle, and whether the crash
+outcome, MAE and knob sequence still agree — so a bit-level drift is
+told apart from a behavioural change at a glance.  Trace comparison
+goes through :func:`repro.telemetry.diff_traces`, so a mismatch fails
+with a readable line-by-line diff instead of a bare assert.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import List
 
 import numpy as np
 import pytest
@@ -50,28 +55,112 @@ def _require_fixture(path):
         )
 
 
-def assert_results_byte_equal(expected: HilResult, actual: HilResult, label: str):
+def _ulp_distance(expected: np.ndarray, actual: np.ndarray) -> int:
+    """Largest distance in units in the last place between two float arrays.
+
+    Float bit patterns map onto a monotonic integer line (negative floats
+    mirrored below zero), so adjacent floats are one apart there.
+    """
+
+    def line(values):
+        bits = np.asarray(values, dtype=np.float64).view(np.int64)
+        return np.where(bits < 0, -(bits & np.int64(0x7FFFFFFFFFFFFFFF)), bits)
+
+    return max(abs(int(a) - int(b)) for a, b in zip(line(expected), line(actual)))
+
+
+def _mae(result: HilResult):
+    return result.mae() if result.time_s.size else None
+
+
+def _knobs(result: HilResult) -> list:
+    return [(c.active_isp, c.roi, c.speed_kmph) for c in result.cycles]
+
+
+def triage(expected: HilResult, actual: HilResult) -> List[str]:
+    """What a golden mismatch changed, one finding per line; ``[]`` if none.
+
+    Every differing trace array gets its first differing index and its
+    largest ulp distance; then the first divergent cycle record, and
+    whether the crash outcome, the MAE and the ``(isp, roi, speed_kmph)``
+    knob sequence still agree.  The last line is the verdict.
+    """
+    lines = []
+    max_ulp = 0
     for field in _ARRAY_FIELDS:
-        exp = getattr(expected, field)
-        act = getattr(actual, field)
-        assert exp.dtype == act.dtype, f"{label}: {field} dtype {exp.dtype} != {act.dtype}"
-        assert exp.shape == act.shape, f"{label}: {field} shape {exp.shape} != {act.shape}"
-        if exp.tobytes() != act.tobytes():
-            first = int(np.flatnonzero(np.asarray(exp) != np.asarray(act))[0])
-            pytest.fail(
-                f"{label}: {field} differs from the golden trace at index "
-                f"{first}: {exp[first]!r} != {act[first]!r}"
+        exp = np.asarray(getattr(expected, field))
+        act = np.asarray(getattr(actual, field))
+        if exp.dtype != act.dtype or exp.shape != act.shape:
+            lines.append(
+                f"{field}: {exp.dtype}{exp.shape} != {act.dtype}{act.shape}"
             )
-    assert expected.crashed == actual.crashed, f"{label}: crashed flag differs"
-    assert expected.crash_s == actual.crash_s, f"{label}: crash_s differs"
-    assert expected.completed == actual.completed, f"{label}: completed flag differs"
+            max_ulp = None
+        elif exp.tobytes() != act.tobytes():
+            bytewise = np.frombuffer(exp.tobytes(), np.uint8) != np.frombuffer(
+                act.tobytes(), np.uint8
+            )
+            differs = np.flatnonzero(bytewise.reshape(exp.size, -1).any(axis=1))
+            ulp = _ulp_distance(exp[differs], act[differs])
+            first = int(differs[0])
+            lines.append(
+                f"{field}: {differs.size} sample(s) differ, first at index {first} "
+                f"({exp[first].item()!r} != {act[first].item()!r}), max {ulp} ulp"
+            )
+            if max_ulp is not None:
+                max_ulp = max(max_ulp, ulp)
+
     exp_cycles = [dataclasses.asdict(c) for c in expected.cycles]
     act_cycles = [dataclasses.asdict(c) for c in actual.cycles]
-    assert len(exp_cycles) == len(act_cycles), (
-        f"{label}: cycle count {len(exp_cycles)} != {len(act_cycles)}"
-    )
-    for index, (ec, ac) in enumerate(zip(exp_cycles, act_cycles)):
-        assert ec == ac, f"{label}: cycle {index} differs: {ec} != {ac}"
+    if exp_cycles != act_cycles:
+        first = next(
+            (i for i, (e, a) in enumerate(zip(exp_cycles, act_cycles)) if e != a),
+            min(len(exp_cycles), len(act_cycles)),
+        )
+        if first < min(len(exp_cycles), len(act_cycles)):
+            lines.append(
+                f"cycles: first divergent cycle {first}: "
+                f"{exp_cycles[first]} != {act_cycles[first]}"
+            )
+        else:
+            lines.append(
+                f"cycles: count {len(exp_cycles)} != {len(act_cycles)} "
+                f"(equal through cycle {first - 1})"
+            )
+
+    outcome = [
+        f"{name} {getattr(expected, name)!r} != {getattr(actual, name)!r}"
+        for name in ("crashed", "crash_s", "completed")
+        if getattr(expected, name) != getattr(actual, name)
+    ]
+    lines.extend(f"outcome: {item}" for item in outcome)
+    exp_mae, act_mae = _mae(expected), _mae(actual)
+    if exp_mae != act_mae:
+        lines.append(f"MAE: {exp_mae!r} != {act_mae!r}")
+    knobs_agree = _knobs(expected) == _knobs(actual)
+    if not knobs_agree:
+        lines.append("knobs: the (isp, roi, speed_kmph) sequence differs")
+    if not lines:
+        return []
+
+    drift = "shape/dtype changed" if max_ulp is None else f"max {max_ulp} ulp"
+    if not outcome and knobs_agree:
+        agreement = "outcome and knobs agree"
+    else:
+        agreement = (
+            f"outcome {'differs' if outcome else 'agrees'}, "
+            f"knobs {'agree' if knobs_agree else 'differ'}"
+        )
+    mae_agrees = "MAE agrees" if exp_mae == act_mae else "MAE differs"
+    lines.append(f"verdict: {drift}; {agreement}; {mae_agrees}")
+    return lines
+
+
+def assert_results_byte_equal(expected: HilResult, actual: HilResult, label: str):
+    findings = triage(expected, actual)
+    if findings:
+        pytest.fail(
+            f"{label}: result differs from the golden trace:\n  " + "\n  ".join(findings)
+        )
     exp_manifest = dict(expected.manifest or {})
     act_manifest = dict(actual.manifest or {})
     exp_manifest.pop("wall_clock", None)
@@ -112,3 +201,48 @@ def test_golden_hit_is_byte_identical_to_cold_run(tmp_path):
     warm = repro.api.simulate(**CORPUS[name], cache=store)
     assert_results_byte_equal(expected, cold, label=f"{name} (cold)")
     assert_results_byte_equal(expected, warm, label=f"{name} (cache hit)")
+
+
+class TestGoldenTriage:
+    """The mismatch report on synthetic pairs around a golden result."""
+
+    @staticmethod
+    def _golden():
+        _require_fixture(npz_path("nominal"))
+        return HilResult.load(str(npz_path("nominal")))
+
+    def test_identical_results_report_nothing(self):
+        golden = self._golden()
+        assert triage(golden, dataclasses.replace(golden)) == []
+
+    def test_one_ulp_nudge(self):
+        golden = self._golden()
+        nudged = golden.lateral_offset.copy()
+        nudged[7] = np.nextafter(nudged[7], np.inf)
+        findings = triage(golden, dataclasses.replace(golden, lateral_offset=nudged))
+        assert findings[0].startswith("lateral_offset: 1 sample(s) differ, first at index 7")
+        assert findings[0].endswith("max 1 ulp")
+        assert findings[-1] == "verdict: max 1 ulp; outcome and knobs agree; MAE agrees"
+        assert len(findings) == 2
+        with pytest.raises(pytest.fail.Exception, match="max 1 ulp"):
+            assert_results_byte_equal(
+                golden, dataclasses.replace(golden, lateral_offset=nudged), "nudged"
+            )
+
+    def test_flipped_crash_flag(self):
+        golden = self._golden()
+        flipped = dataclasses.replace(golden, crashed=not golden.crashed)
+        findings = triage(golden, flipped)
+        assert f"outcome: crashed {golden.crashed!r} != {not golden.crashed!r}" in findings
+        assert findings[-1] == (
+            "verdict: max 0 ulp; outcome differs, knobs agree; MAE agrees"
+        )
+
+    def test_divergent_cycle_and_knobs(self):
+        golden = self._golden()
+        cycles = list(golden.cycles)
+        cycles[3] = dataclasses.replace(cycles[3], roi="ROI 4")
+        findings = triage(golden, dataclasses.replace(golden, cycles=cycles))
+        assert findings[0].startswith("cycles: first divergent cycle 3:")
+        assert "knobs: the (isp, roi, speed_kmph) sequence differs" in findings
+        assert findings[-1].endswith("outcome agrees, knobs differ; MAE agrees")

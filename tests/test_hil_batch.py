@@ -20,8 +20,10 @@ from repro.classifiers.models import SituationClassifier, build_tiny_resnet
 from repro.classifiers.runtime import CnnIdentifier
 from repro.core.situation import situation_by_index
 from repro.faults.plan import ClassifierTimeout, ClassifierWrongLabel, FaultPlan
+from repro.hil import batch as batch_mod
 from repro.hil.batch import BatchedHilEngine, run_batch
 from repro.hil.engine import HilConfig, HilEngine
+from repro.isp.pipeline import IspPipeline
 from repro.sim.world import static_situation_track
 
 #: Reduced fidelity keeps each rollout fast; the BEV grid stays at its
@@ -178,6 +180,44 @@ class TestBitIdentity:
             assert_results_equal(result, _serial(track, "case2", cfg))
         sensed = sum(len(result.cycles) for result in batched)
         assert batched[0].profile["hil.isp"].count == sensed
+
+
+class TestChunkedSensing:
+    def test_full_fidelity_lanes_render_and_isp_one_per_call(self, monkeypatch):
+        """At 384x192 a frame outgrows ``STACK_PIXELS``: render and ISP run
+        one lane per call, faulted lanes included, each lane exact."""
+        calls = {"render": [], "isp": []}
+        render = batch_mod.render_raw_batch
+        process_batch = IspPipeline.process_batch
+
+        def render_spy(renderers, poses):
+            calls["render"].append(len(renderers))
+            return render(renderers, poses)
+
+        def isp_spy(pipeline, raw, taps=None):
+            calls["isp"].append(raw.shape[0])
+            return process_batch(pipeline, raw, taps=taps)
+
+        monkeypatch.setattr(batch_mod, "render_raw_batch", render_spy)
+        monkeypatch.setattr(IspPipeline, "process_batch", isp_spy)
+        track = _track(length=60.0)
+        full = dict(frame_width=384, frame_height=192, max_sim_time_s=0.1)
+        plans = ("", "isp_corruption@0:80,stage=GM,strength=0.3; banding@0:80", "")
+        configs = [
+            HilConfig(
+                seed=3 + lane, profile=True, fault_plan=FaultPlan.parse(plan), **full
+            )
+            for lane, plan in enumerate(plans)
+        ]
+        batched = run_batch(configs, track=track, case="case2")
+        sensed = sum(len(result.cycles) for result in batched)
+        assert calls["render"] == [1] * sensed
+        assert calls["isp"] == [1] * sensed
+        stats = batched[0].profile
+        assert stats["hil.render"].count == stats["hil.isp"].count == sensed
+        assert any(c.faults for c in batched[1].cycles)
+        for cfg, result in zip(configs, batched):
+            assert_results_equal(result, _serial(track, "case2", cfg))
 
 
 class TestSharedCnnIdentifier:

@@ -493,6 +493,24 @@ class TestBatchedKernels:
             for i, frame in enumerate(frames):
                 assert np.array_equal(batched[i], grid.warp(frame))
 
+    def test_warp_batch_of_sixteen_is_per_lane(self, small_camera, day_track):
+        """Sixteen lanes: one csr product each equals the lone warp, the
+        explicit bilinear reference, and the many-column product over
+        all lanes at once (csr sums each column tap by tap)."""
+        frames = self._frames(small_camera, day_track, n=16)
+        roi = RoiPreset("wide", 0.02, 12.0, x_near=2.0, x_far=30.0)
+        grid = BevGrid(small_camera, roi, n_rows=32, n_cols=48)
+        batched = grid.warp_batch(frames)
+        assert batched.shape == (16, 32, 48, 3)
+        hw = small_camera.height * small_camera.width
+        many = grid._operator @ frames.reshape(16, hw, 3).transpose(1, 0, 2).reshape(hw, 48)
+        many = many.reshape(32, 48, 16, 3).transpose(2, 0, 1, 3)
+        for i, frame in enumerate(frames):
+            inside, want = _reference_warp(grid, frame)
+            assert np.array_equal(batched[i], want)
+            assert np.array_equal(batched[i], grid.warp(frame))
+            assert np.array_equal(batched[i][inside], many[i][inside])
+
     def test_warp_batch_single_channel(self, small_camera, day_track):
         frames = self._frames(small_camera, day_track)[..., 0]
         grid = BevGrid(small_camera, roi_preset("ROI 1"), n_rows=32, n_cols=48)

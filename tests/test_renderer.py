@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.situation import Scene, situation_by_index
 from repro.sim import renderer as rmod
 from repro.sim.camera import CameraModel
-from repro.sim.geometry import Pose2D
+from repro.sim.geometry import Pose2D, rotation_matrix
 from repro.sim.photometry import SCENE_PHOTOMETRY, photometry_for
 from repro.sim.renderer import RenderOptions, RoadSceneRenderer, render_raw_batch
 from repro.sim.sensor import add_sensor_noise, bayer_channel_masks, mosaic
@@ -270,3 +270,130 @@ class TestRenderIdentity:
             for lane, (renderer, pose, scene) in enumerate(zip(serial, poses, scenes)):
                 alone = renderer.render_raw(pose, scene)
                 assert stacked[lane].tobytes() == alone.tobytes(), (frame, lane)
+
+
+def _dense_render(renderer, poses, s_vehicles, photometry, raw):
+    """Reference render with lane paint (step 3) over every ground sample.
+
+    The renderer evaluates paint only at :meth:`_paint_candidates`; this
+    is the dense pass it replaced, steps 1-5 spelled out.
+    """
+    cam, opts = renderer.camera, renderer.options
+    batch, n_pts = len(poses), renderer._local.shape[0]
+    road, shoulder, yellow, white = (
+        renderer._raw_albedos if raw else rmod._RGB_ALBEDOS
+    )
+    illum, tint, sky = renderer._photometry_constants(photometry, raw)
+    s_pt = np.empty((batch, n_pts), dtype=np.float32)
+    d_pt = np.empty((batch, n_pts), dtype=np.float32)
+    on_track = np.empty((batch, n_pts), dtype=bool)
+    for lane, (pose, s_vehicle) in enumerate(zip(poses, s_vehicles)):
+        rot = rotation_matrix(pose.heading).astype(np.float32)
+        world = np.empty((n_pts, 2), dtype=np.float32)
+        np.matmul(renderer._local, rot.T, out=world)
+        world += pose.position().astype(np.float32)
+        window = (s_vehicle - 25.0, s_vehicle + cam.max_distance + 30.0)
+        s_pt[lane], d_pt[lane], on_track[lane] = renderer.track.locate_points(
+            world, window
+        )
+    s_pt = np.where(on_track, s_pt, np.float32(0.0))
+    d_pt = np.where(on_track, d_pt, np.float32(1e6))
+
+    half = opts.lane_width / 2.0
+    on_road = (d_pt >= -(half + opts.right_shoulder)) & (
+        d_pt <= half + opts.adjacent_lane_width
+    )
+    albedo = np.where(on_road[..., None], road, shoulder)
+    texture = np.float32(opts.texture_amplitude) * rmod._position_hash(s_pt, d_pt)
+    albedo *= np.float32(1.0) + texture[..., None]
+
+    bounds, forms, colors = renderer._segment_tables
+    seg_idx = (np.searchsorted(bounds, s_pt, side="right") - 1).clip(
+        0, len(renderer.track.segments) - 1
+    )
+    left_cov = RoadSceneRenderer._marking_coverage(
+        d_pt - half, s_pt, forms[seg_idx], renderer._lat_fp, renderer._fwd_fp
+    )
+    right_cov = rmod._dashed(
+        rmod._line_coverage(d_pt + half, rmod.MARK_HALF_WIDTH, renderer._lat_fp),
+        s_pt,
+        renderer._fwd_fp,
+    )
+    left_color = np.where(colors[seg_idx][..., None] == 1, yellow, white)
+    albedo += left_cov[..., None] * (left_color - albedo)
+    albedo += right_cov[..., None] * (white - albedo)
+
+    if illum is not None:
+        marking_cov = np.maximum(left_cov, right_cov)
+        retro = np.float32(1.0) + np.float32(rmod.RETROREFLECTIVE_GAIN) * marking_cov
+        albedo *= (illum * retro)[..., None]
+    else:
+        albedo *= np.float32(photometry.exposure)
+    albedo *= tint
+    albedo += np.float32(photometry.ambient)
+    radiance = np.clip(albedo, 0.0, 1.0, out=albedo)
+
+    frame = np.empty((batch, cam.height * cam.width, albedo.shape[-1]), np.float32)
+    frame[:] = sky
+    frame[:, renderer._vidx] = radiance
+    return frame.reshape((batch, cam.height, cam.width) + (() if raw else (3,)))
+
+
+class TestSparseLanePaint:
+    """Lane paint evaluated at candidates only equals the dense pass."""
+
+    @staticmethod
+    def _poses(track):
+        """Around every Fig. 7 segment start: -0.5, 0 and +0.3 m, lateral
+        +-1.2 m, heading +-0.3 rad."""
+        poses = []
+        for seg in track.segments:
+            for ds in (-0.5, 0.0, 0.3):
+                for d in (-1.2, 1.2):
+                    base = track.pose_at(max(seg.s_start + ds, 0.0), d)
+                    for dh in (-0.3, 0.3):
+                        poses.append(Pose2D(base.x, base.y, base.heading + dh))
+        return poses
+
+    @pytest.mark.parametrize("size", [(160, 80), (47, 23)])
+    def test_matches_dense_pass(self, size, dynamic_track):
+        renderer = RoadSceneRenderer(
+            CameraModel(width=size[0], height=size[1]), dynamic_track
+        )
+        poses = self._poses(dynamic_track)
+        s_vehicles = [dynamic_track.frenet(p.x, p.y)[0] for p in poses]
+        scenes = list(Scene)
+        # Every pose under one scene, cycling through all of them; lanes
+        # go in threes (B=3) and alone (B=1).
+        for start in range(0, len(poses), 3):
+            photometry = photometry_for(scenes[(start // 3) % len(scenes)])
+            lanes = slice(start, start + 3)
+            for raw in (True, False):
+                want = _dense_render(
+                    renderer, poses[lanes], s_vehicles[lanes], photometry, raw
+                )
+                got = renderer._render(poses[lanes], s_vehicles[lanes], photometry, raw)
+                assert got.tobytes() == want.tobytes(), (start, raw)
+                alone = renderer._render(
+                    poses[start : start + 1], s_vehicles[start : start + 1],
+                    photometry, raw,
+                )
+                assert alone.tobytes() == want[:1].tobytes(), (start, raw)
+
+    def test_candidates_are_a_strict_subset_on_a_straight(
+        self, small_camera, day_track, monkeypatch
+    ):
+        renderer = RoadSceneRenderer(small_camera, day_track)
+        seen = []
+        candidates = renderer._paint_candidates
+
+        def spy(d_pt, half):
+            mask = candidates(d_pt, half)
+            seen.append(mask)
+            return mask
+
+        monkeypatch.setattr(renderer, "_paint_candidates", spy)
+        renderer.render_rgb(day_track.pose_at(40.0, 0.1))
+        [mask] = seen
+        assert mask.shape == (1, renderer._vidx.size)
+        assert 0 < mask.sum() < 0.25 * mask.size
