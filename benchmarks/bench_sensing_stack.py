@@ -12,6 +12,12 @@ warp is the many-column csr product ``operator @ (H*W, B*C)`` that
 
 Only bit-equality of the arms is asserted, never a timing bar: the
 table is what re-derives the crossover on another host or numpy.
+
+A second row times B=1 ``render_raw`` at 384x192 half a metre into
+every Fig. 7 sector and at mid-sector, with the frame footprint handed
+to ``Track.locate_points`` (what the renderer does) and with a footprint
+that culls no segment, and records the ``TrackSegment.locate`` passes
+per frame of both arms.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from repro.perception.bev import BevGrid
 from repro.perception.roi import roi_preset
 from repro.sim.camera import CameraModel
 from repro.sim.renderer import RenderOptions, RoadSceneRenderer, render_raw_batch
+from repro.sim.track import TrackSegment
 from repro.sim.world import fig7_track
 
 FRAMES = ((48, 24), (96, 48), (192, 96), (384, 192))
@@ -128,3 +135,68 @@ def test_sensing_stack_crossover(benchmark):
             for stage in ("render", "isp", "warp")
         ]
         print(f"{width}x{height}: " + "; ".join(cells))
+
+
+def _render_row(renderer, poses, footprint):
+    """``(frames, locate passes per frame, mean best-of-N render_raw ms)``.
+
+    ``footprint=False`` swaps the renderer's frame footprint for a box
+    whose corners never all lie behind one claim line, so every window
+    segment runs.
+    """
+    locate, frame_footprint = TrackSegment.locate, renderer._footprint
+    passes = [0]
+
+    def counted(seg, pts):
+        passes[0] += np.ndim(pts) > 1
+        return locate(seg, pts)
+
+    TrackSegment.locate = counted
+    if not footprint:
+        renderer._footprint = np.array(
+            [[-1e9, -1e9], [-1e9, 1e9], [1e9, -1e9], [1e9, 1e9]]
+        )
+    try:
+        frames = [renderer.render_raw(pose) for pose in poses]
+        per_frame = passes[0] / len(poses)
+        ms = [_best_ms(lambda: renderer.render_raw(pose))[1] for pose in poses]
+    finally:
+        TrackSegment.locate, renderer._footprint = locate, frame_footprint
+    return frames, per_frame, float(np.mean(ms))
+
+
+def test_render_raw_frenet_passes(benchmark):
+    track = fig7_track()
+    renderer = RoadSceneRenderer(
+        CameraModel(width=384, height=192), track, RenderOptions(noise=False)
+    )
+    spots = {
+        "sector_start": [track.pose_at(seg.s_start + 0.5) for seg in track.segments],
+        "mid_sector": [
+            track.pose_at(seg.s_start + 0.5 * seg.length) for seg in track.segments
+        ],
+    }
+    table = {}
+
+    def measure():
+        for spot, poses in spots.items():
+            culled, passes, ms = _render_row(renderer, poses, footprint=True)
+            dense, dense_passes, dense_ms = _render_row(renderer, poses, footprint=False)
+            for a, b in zip(culled, dense):
+                assert a.tobytes() == b.tobytes(), f"{spot}: footprint changed a frame"
+            table[f"render_raw_{spot}_passes"] = round(passes, 2)
+            table[f"render_raw_{spot}_passes_no_cull"] = round(dense_passes, 2)
+            table[f"render_raw_{spot}_ms"] = round(ms, 2)
+            table[f"render_raw_{spot}_ms_no_cull"] = round(dense_ms, 2)
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["rounds"] = _ROUNDS
+    benchmark.extra_info.update(table)
+    print()
+    for spot in spots:
+        print(
+            f"{spot}: {table[f'render_raw_{spot}_passes']:.2f} passes, "
+            f"{table[f'render_raw_{spot}_ms']:.2f} ms per frame "
+            f"(no cull {table[f'render_raw_{spot}_passes_no_cull']:.2f}, "
+            f"{table[f'render_raw_{spot}_ms_no_cull']:.2f} ms)"
+        )

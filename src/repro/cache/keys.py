@@ -14,7 +14,9 @@ Three identity fields ride along beside the inputs:
   never trusted (behaviour may have changed anywhere);
 - ``libraries`` — the numpy and scipy versions: an upgrade can move
   last-ulp results (BLAS kernels, ``exp``/``sin`` loops), and a rollout
-  is a bitwise function of those too;
+  is a bitwise function of those too; plus the OpenBLAS core the
+  process dispatched to, since one numpy build runs different GEMM
+  kernels on different CPUs, with different last-ulp results;
 - ``kernel`` — the kernel-identity tag (see :func:`kernel_identity_tag`
   and the DESIGN note): simulation kernels are part of the function
   being memoized, so bumping a kernel version invalidates every entry
@@ -36,7 +38,11 @@ one key for one rollout.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import json
+import os
 from dataclasses import asdict, is_dataclass
 from typing import Any, Dict, List, Optional
 
@@ -72,12 +78,39 @@ def kernel_identity_tag() -> str:
     return f"rollout-v{ROLLOUT_KERNEL_VERSION}/renderer-v{RENDERER_VERSION}"
 
 
+@functools.lru_cache(maxsize=None)
+def _blas_core() -> str:
+    """The OpenBLAS core numpy's bundled BLAS runs, or ``"unknown"``.
+
+    Read once per process through ctypes from the ``scipy_openblas``
+    library in ``numpy.libs``; a build without that library or symbol
+    reports ``"unknown"``.
+    """
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        name = corename()
+        if name:
+            return name.decode()
+    return "unknown"
+
+
 def _library_versions() -> Dict[str, str]:
     """Versions of the numerical libraries a rollout's bits depend on."""
     import numpy
     import scipy
 
-    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    return {
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas_core": _blas_core(),
+    }
 
 
 def _case_entry(case: Any) -> Optional[Any]:

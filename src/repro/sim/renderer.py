@@ -122,6 +122,14 @@ class RoadSceneRenderer:
             gm.forward_footprint.ravel()[self._vidx], 1e-4
         ).astype(np.float32)
         self._local = np.stack([self._fwd, lateral], axis=-1)
+        # Corners of the local ground box: every frame's ground points lie
+        # inside their pose image, which lets ``locate_points`` skip the
+        # segments that cannot claim any of them.
+        fwd, lat = self._local.T if self._vidx.size else np.zeros((2, 1))
+        self._footprint = np.array(
+            [[f, y] for f in (fwd.min(), fwd.max()) for y in (lat.min(), lat.max())],
+            dtype=float,
+        )
         # Lateral reach of the left (double pair, the widest form) and the
         # right marking, plus a full footprint: coverage already clips to
         # 0 half a footprint out, so the margin is safe against rounding.
@@ -243,9 +251,9 @@ class RoadSceneRenderer:
         Returns ``(B, H, W)`` RGGB planes when *raw*, else ``(B, H, W, 3)``
         linear RGB.  Ground samples carry a trailing channel axis: one
         entry (the pixel's Bayer channel) for RAW, three for RGB.  The
-        pose matmul and ``locate_points`` with its per-lane s-window run
-        per lane into rows of stacked buffers; everything after is
-        elementwise/broadcast math, which numpy evaluates identically
+        pose matmul and ``locate_points`` with its per-lane s-window and
+        footprint run per lane into rows of stacked buffers; everything
+        after is elementwise/broadcast math, which numpy evaluates identically
         for any leading shape and any channel gather — that is what
         keeps a lane bit-identical to a B=1 render, and a RAW pixel
         bit-identical to the same channel of the RGB frame.
@@ -267,7 +275,7 @@ class RoadSceneRenderer:
             world[lane] += pose.position().astype(np.float32)
             window = (s_vehicle - 25.0, s_vehicle + cam.max_distance + 30.0)
             s_pt[lane], d_pt[lane], on_track[lane] = self.track.locate_points(
-                world[lane], window
+                world[lane], window, pose.transform_to_world(self._footprint)
             )
         s_pt = np.where(on_track, s_pt, np.float32(0.0))
         d_pt = np.where(on_track, d_pt, np.float32(1e6))  # far off-road

@@ -70,10 +70,16 @@ def add_sensor_noise(
     if read_noise < 0 or shot_noise < 0:
         raise ValueError("noise levels must be non-negative")
     signal = np.clip(raw, 0.0, None)
-    sigma = np.sqrt(read_noise**2 + (shot_noise**2) * signal)
+    # sigma = sqrt(read² + shot²·signal) and signal + sigma·z, in place:
+    # the same commutative ops, so the same bits with fewer temporaries.
+    sigma = signal * shot_noise**2
+    sigma += read_noise**2
+    np.sqrt(sigma, out=sigma)
     dtype = raw.dtype if raw.dtype in (np.float32, np.float64) else np.float64
-    noisy = signal + sigma * rng.standard_normal(raw.shape, dtype=dtype)
-    return np.clip(noisy, 0.0, 1.0)
+    noisy = rng.standard_normal(raw.shape, dtype=dtype)
+    noisy *= sigma
+    noisy += signal
+    return np.clip(noisy, 0.0, 1.0, out=noisy)
 
 
 def blackout_frame(raw: np.ndarray) -> np.ndarray:

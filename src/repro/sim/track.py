@@ -30,6 +30,37 @@ __all__ = ["SectorSpec", "TrackSegment", "Track"]
 #: Curvatures below this magnitude are treated as straight lines.
 _STRAIGHT_EPS = 1e-9
 
+#: Distance (m) by which every footprint corner must lie behind one of
+#: a segment's claim half-planes before :meth:`Track.locate_points`
+#: skips the segment.  It must exceed the gap between a computed claim
+#: and the exact geometry: float32 world points lie within ~1e-4 m (a
+#: few ulp at 1 km) of the float64 pose image of the footprint, and
+#: float32 rounding in the locate formulas moves a claim boundary by a
+#: few ulp of ``2*pi`` in angle (~1e-4 m at 200 m from an arc centre).
+#: At 1e-2 m, two orders above both, a skipped segment could not have
+#: claimed any point.
+_CULL_MARGIN = 1e-2
+
+
+def _wrap_sweep(delta):
+    """:func:`~repro.sim.geometry.wrap_angle`, bit for bit, without ``fmod``.
+
+    Requires ``a = delta + pi`` in ``[-2*pi, 4*pi)``, which holds for
+    an arc's ``arctan2(...) - start_angle`` (both angles lie in
+    ``[-pi, pi]``).  There ``np.mod(a, 2*pi)`` equals the branch below:
+    ``fmod`` is exact on ``[0, 2*pi)``; on ``[2*pi, 4*pi)`` Sterbenz's
+    lemma makes ``a - 2*pi`` exact, as ``fmod`` is; below 0 numpy's
+    ``mod`` itself rounds ``a + 2*pi``; and a zero's sign is lost once
+    ``pi`` is subtracted.  ``fmod`` is the bulk of an arc pass.
+    """
+    a = np.asarray(delta + np.pi)
+    # In place; nothing the subtraction leaves is below 0.
+    np.subtract(a, 2.0 * np.pi, out=a, where=a >= 2.0 * np.pi)
+    np.add(a, 2.0 * np.pi, out=a, where=a < 0.0)
+    a -= np.pi
+    np.copyto(a, np.pi, where=a == -np.pi)
+    return a
+
 
 @dataclass(frozen=True)
 class SectorSpec:
@@ -123,24 +154,25 @@ class TrackSegment:
         pts = np.asarray(points_xy)
         if pts.dtype not in (np.float32, np.float64):
             pts = pts.astype(np.float64)
-        dtype = pts.dtype
+        dtype = pts.dtype.type
+        # One contiguous column per coordinate: the formulas below then
+        # stream instead of reading strided (N, 2) columns.
         if not self._is_arc:
-            rel = pts - self.start.position().astype(dtype)
-            t = self.start.forward().astype(dtype)
-            n = self.start.left().astype(dtype)
+            x = pts[..., 0] - dtype(self.start.x)
+            y = pts[..., 1] - dtype(self.start.y)
+            tx, ty = self.start.forward().astype(dtype)
+            nx, ny = self.start.left().astype(dtype)
             # Explicit mul/add instead of `rel @ t`: BLAS picks different
             # accumulation kernels for (2,) and (M, 2) operands, so matmul
             # is not shape-invariant at the last ulp — elementwise ufuncs
             # are, which keeps scalar and stacked projections bit-identical.
-            s_local = rel[..., 0] * t[0] + rel[..., 1] * t[1]
-            d = rel[..., 0] * n[0] + rel[..., 1] * n[1]
-            return s_local, d
-        v = pts - self._center.astype(dtype)
-        r = np.hypot(v[..., 0], v[..., 1])
-        d = dtype.type(1.0 / self.curvature) - dtype.type(np.sign(self.curvature)) * r
-        angle = np.arctan2(v[..., 1], v[..., 0])
-        sweep = wrap_angle(angle - dtype.type(self._start_angle))
-        s_local = sweep / dtype.type(self.curvature)
+            return x * tx + y * ty, x * nx + y * ny
+        x = pts[..., 0] - dtype(self._center[0])
+        y = pts[..., 1] - dtype(self._center[1])
+        r = np.hypot(x, y)
+        d = dtype(1.0 / self.curvature) - dtype(np.sign(self.curvature)) * r
+        sweep = _wrap_sweep(np.arctan2(y, x) - dtype(self._start_angle))
+        s_local = sweep / dtype(self.curvature)
         return np.asarray(s_local, dtype=dtype), np.asarray(d, dtype=dtype)
 
 
@@ -170,6 +202,36 @@ def _segment_column(index: int, seg: TrackSegment, last: int) -> List[float]:
     ]
 
 
+def _claim_half_planes(index: int, seg: TrackSegment, last: int) -> List[List[float]]:
+    """Two half-planes ``q . n >= c``, as ``[n_x, n_y, c]``, holding every
+    point segment *index* can claim.
+
+    The start line has ``n`` the start tangent through the start point;
+    the end line has ``n`` the reversed end tangent through the end
+    point.  For a straight that is exactly ``0 <= s_local < length``.
+    For an arc of sweep ``|curvature| * length <= pi`` the claimed sector
+    lies inside both (``(q - centre) . t`` equals ``(q - p) . t`` for
+    the on-arc point ``p`` of tangent ``t``); a wider sweep's claims
+    spill past its end line, so neither line is used.  The first
+    segment extrapolates backwards and the last forwards, so their
+    start and end lines are not used either.  A first arc also loses
+    its end line: it claims every sweep in ``(-pi, theta)``, and the
+    sweeps below ``theta - pi`` lie past its end line.  (A last arc's
+    forward claims, sweeps in ``[0, pi]``, stay ahead of its start
+    line.)  An unused line gets ``c = -inf``, which no point lies
+    behind.
+    """
+    end = seg.end_pose()
+    holds = not seg.is_arc or abs(seg.curvature) * seg.length <= np.pi
+    end_on = index != last and not (index == 0 and seg.is_arc)
+    lines = []
+    for pose, sign, on in ((seg.start, 1.0, index != 0), (end, -1.0, end_on)):
+        normal = sign * pose.forward()
+        offset = float(normal @ pose.position()) if holds and on else -np.inf
+        lines.append([normal[0], normal[1], offset])
+    return lines
+
+
 class Track:
     """A chain of :class:`TrackSegment` pieces forming a road centerline."""
 
@@ -186,6 +248,17 @@ class Track:
         self._seg_table = np.array(
             [_segment_column(i, seg, last) for i, seg in enumerate(self.segments)]
         ).T.copy()
+        #: The :func:`_claim_half_planes` of every segment, start and end
+        #: line adjacent: ``(2, 2 * n_segments)`` normals and offsets.
+        lines = np.array(
+            [
+                line
+                for i, seg in enumerate(self.segments)
+                for line in _claim_half_planes(i, seg, last)
+            ]
+        )
+        self._line_normals = lines[:, :2].T.copy()
+        self._line_offsets = lines[:, 2].copy()
         #: Interior bounds: ``searchsorted(..., "right")`` on them is
         #: :meth:`segment_index_at`, clamping included.
         self._s_interior = self._s_bounds[1:-1].copy()
@@ -353,6 +426,7 @@ class Track:
         self,
         points_xy: np.ndarray,
         s_window: Tuple[float, float],
+        footprint: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Frenet-project many world points, restricted to an s-window.
 
@@ -365,6 +439,12 @@ class Track:
             ``(..., 2)`` world coordinates.
         s_window:
             ``(s_min, s_max)`` arc-length window of interest.
+        footprint:
+            ``(k, 2)`` world corners of a convex region holding every
+            point (up to float32 rounding).  A window segment is skipped
+            when every corner lies more than :data:`_CULL_MARGIN` behind
+            one of its :func:`_claim_half_planes`: it would claim no
+            point, so the result is the same bits as without skipping.
 
         Returns
         -------
@@ -376,23 +456,25 @@ class Track:
         The first window segment claiming a point wins.  Each later
         segment is evaluated only on the points still unclaimed (the
         projection is elementwise, so a gathered point gets the same
-        bits), and the loop stops once every point is claimed.
+        bits), and the loop stops once every point is claimed.  When the
+        first evaluated segment claims them all, its pass is the result.
         """
         pts = np.asarray(points_xy)
         if pts.dtype not in (np.float32, np.float64):
             pts = pts.astype(np.float64)
         shape = pts.shape[:-1]
-        s_out = np.full(shape, np.nan, dtype=pts.dtype)
-        d_out = np.full(shape, np.nan, dtype=pts.dtype)
-        valid = np.zeros(shape, dtype=bool)
+        corners = np.asarray(footprint, dtype=float)
+        behind = corners @ self._line_normals - self._line_offsets < -_CULL_MARGIN
+        culled = behind.all(axis=0).reshape(-1, 2).any(axis=1)
         # The unclaimed points, and their flat indices into the outputs
         # once a segment has claimed some (None while all are unclaimed).
         pending = pts.reshape(-1, 2)
         todo = None
+        s_out = d_out = valid = None
 
         s_min, s_max = s_window
         for i, seg in enumerate(self.segments):
-            if seg.s_end < s_min or seg.s_start > s_max:
+            if seg.s_end < s_min or seg.s_start > s_max or culled[i]:
                 continue
             s_local, d = seg.locate(pending)
             inside = (s_local >= 0.0) & (s_local < seg.length)
@@ -400,6 +482,11 @@ class Track:
                 inside |= s_local < 0.0
             if i == len(self.segments) - 1:
                 inside |= s_local >= seg.length
+            if todo is None:
+                if inside.all():
+                    s_local = seg.s_start + s_local
+                    return s_local.reshape(shape), d.reshape(shape), np.ones(shape, bool)
+                s_out, d_out, valid = _unclaimed(shape, pts.dtype)
             take = inside if todo is None else todo[inside]
             s_out.reshape(-1)[take] = seg.s_start + s_local[inside]
             d_out.reshape(-1)[take] = d[inside]
@@ -409,8 +496,19 @@ class Track:
             outside = ~inside
             todo = np.flatnonzero(outside) if todo is None else todo[outside]
             pending = pending[outside]
+        if s_out is None:
+            return _unclaimed(shape, pts.dtype)
         return s_out, d_out, valid
 
     def start_pose(self, d: float = 0.0) -> Pose2D:
         """World pose at the beginning of the track, offset *d* laterally."""
         return self.pose_at(0.0, d)
+
+
+def _unclaimed(shape: Tuple[int, ...], dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`Track.locate_points` outputs with no point claimed yet."""
+    return (
+        np.full(shape, np.nan, dtype=dtype),
+        np.full(shape, np.nan, dtype=dtype),
+        np.zeros(shape, dtype=bool),
+    )

@@ -258,6 +258,20 @@ class TestFacadeCache:
         assert after["libraries"][library] == module.__version__
         assert rollout_key(after) != rollout_key(before)
 
+    def test_blas_core_changes_the_key(self, monkeypatch):
+        """Another OpenBLAS core runs other GEMM kernels: new address."""
+        from repro.cache import keys
+        from repro.hil.engine import HilConfig
+        from repro.sim import static_situation_track
+
+        track = static_situation_track(situation_by_index(1), length=40.0)
+        before = rollout_key_document(track=track, case="case1", config=HilConfig())
+        assert before["libraries"]["blas_core"] == keys._blas_core()
+        monkeypatch.setattr(keys, "_blas_core", lambda: "Nehalem-probe")
+        after = rollout_key_document(track=track, case="case1", config=HilConfig())
+        assert after["libraries"]["blas_core"] == "Nehalem-probe"
+        assert rollout_key(after) != rollout_key(before)
+
 
 # ---------------------------------------------------------------------------
 # concurrency stress

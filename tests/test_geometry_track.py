@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.situation import situation_by_index
+from repro.sim.camera import CameraModel
 from repro.sim.geometry import Pose2D, rotation_matrix, wrap_angle
-from repro.sim.track import SectorSpec, Track, TrackSegment
+from repro.sim.scenario import parse_scenario
+from repro.sim.track import SectorSpec, Track, TrackSegment, _wrap_sweep
 from repro.sim.world import (
     DEFAULT_TURN_RADIUS,
     fig7_sector_situations,
@@ -47,6 +49,35 @@ class TestWrapAngle:
     def test_vectorized(self):
         out = wrap_angle(np.array([0.0, 2 * np.pi, -2 * np.pi]))
         np.testing.assert_allclose(out, [0.0, 0.0, 0.0], atol=1e-12)
+
+
+class TestWrapSweep:
+    """The fmod-free arc wrap is ``wrap_angle`` bit for bit on every
+    angle difference an arc pass can produce, ``[-2*pi, 2*pi]``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values_and_neighbours(self, dtype):
+        base = np.array(
+            [-2 * np.pi, -np.pi, -0.0, 0.0, np.pi, 2 * np.pi], dtype=dtype
+        )
+        angles = np.concatenate(
+            [base, np.nextafter(base, dtype(np.inf)), np.nextafter(base, dtype(-np.inf))]
+        )
+        want = wrap_angle(angles)
+        assert want.dtype == dtype
+        assert _wrap_sweep(angles).tobytes() == want.tobytes()
+        for angle in angles:  # alone, each value picks its own branch
+            assert _wrap_sweep(angle[None]).tobytes() == wrap_angle(angle[None]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dense_sweep(self, dtype):
+        angles = np.linspace(-2 * np.pi, 2 * np.pi, 1_000_001).astype(dtype)
+        assert _wrap_sweep(angles).tobytes() == wrap_angle(angles).tobytes()
+
+    def test_scalar_point(self):
+        """The scalar ``Track.frenet`` path hands it 0-d values."""
+        for angle in (-5.0, -np.pi, 0.0, 1.0, np.pi, 5.0):
+            assert float(_wrap_sweep(np.float64(angle))) == wrap_angle(angle)
 
 
 class TestPose2D:
@@ -156,7 +187,7 @@ class TestTrack:
     def test_locate_points_marks_window(self, dynamic_track):
         pose = dynamic_track.pose_at(50.0)
         pts = np.array([pose.position(), [1e6, 1e6]])
-        s, d, valid = dynamic_track.locate_points(pts, (0.0, 120.0))
+        s, d, valid = dynamic_track.locate_points(pts, (0.0, 120.0), _box(pts))
         assert valid[0]
         assert s[0] == pytest.approx(50.0, abs=1e-6)
 
@@ -304,6 +335,30 @@ def _locate_all_segments(track, pts, s_window):
     return s_out, d_out, valid
 
 
+def _box(pts):
+    """World corners of the axis-aligned box around a point cloud."""
+    flat = np.asarray(pts, dtype=float).reshape(-1, 2)
+    (x0, y0), (x1, y1) = flat.min(axis=0), flat.max(axis=0)
+    return np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
+
+
+#: A footprint whose corners never all lie behind one claim line: it culls nothing.
+_NO_CULL = np.array([[-1e9, -1e9], [-1e9, 1e9], [1e9, -1e9], [1e9, 1e9]])
+
+
+def _assert_matches(track, pts, window, footprint=None):
+    """``locate_points`` with *footprint* (default: the cloud's bounding
+    box) equals the dense reference byte for byte."""
+    if footprint is None:
+        footprint = _box(pts)
+    got = track.locate_points(pts, window, footprint)
+    want = _locate_all_segments(track, pts, window)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    return got
+
+
 class TestLocatePointsClaimOrder:
     """``locate_points`` skips claimed points, the first claimant winning."""
 
@@ -313,14 +368,6 @@ class TestLocatePointsClaimOrder:
         local = rng.uniform(-1.0, 1.0, (n, 2)) * np.array(spread)
         rot = rotation_matrix(centre.heading)
         return centre.position() + local @ rot.T
-
-    def _assert_matches(self, track, pts, window):
-        got = track.locate_points(pts, window)
-        want = _locate_all_segments(track, pts, window)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
-        return got
 
     def test_earlier_segment_wins_where_two_claim(self):
         """A 270-degree hairpin between two straights: the closing
@@ -337,7 +384,7 @@ class TestLocatePointsClaimOrder:
         rng = np.random.default_rng(5)
         pts = self._cloud(track, 20.0 + 0.75 * np.pi * radius, rng, spread=(9.0, 9.0))
         claims = [_claims(track, k, pts) for k in range(3)]
-        s, d, valid = self._assert_matches(track, pts, (0.0, track.length))
+        s, d, valid = _assert_matches(track, pts, (0.0, track.length))
         # The closing straight crosses the opening one and runs past the
         # hairpin: both earlier segments share points with it.
         for earlier in (0, 1):
@@ -363,12 +410,12 @@ class TestLocatePointsClaimOrder:
             (beyond, (length - 30.0, length + 30.0), lambda s: s > length),
         ):
             pts = centre + rng.normal(0.0, 1.0, (50, 2))
-            s, _, valid = self._assert_matches(dynamic_track, pts, window)
+            s, _, valid = _assert_matches(dynamic_track, pts, window)
             assert valid.all() and overshoot(s).all()
 
     def test_window_without_segments(self, dynamic_track):
         pts = self._cloud(dynamic_track, 50.0, np.random.default_rng(7))
-        s, d, valid = self._assert_matches(dynamic_track, pts, (1e6, 2e6))
+        s, d, valid = _assert_matches(dynamic_track, pts, (1e6, 2e6))
         assert np.isnan(s).all() and np.isnan(d).all() and not valid.any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -378,5 +425,130 @@ class TestLocatePointsClaimOrder:
             [self._cloud(dynamic_track, s, rng, n=300) for s in (40.0, 160.0, 300.0)]
         ).astype(dtype)
         assert pts.shape == (3, 300, 2)
-        s, _, valid = self._assert_matches(dynamic_track, pts, (20.0, 330.0))
+        s, _, valid = _assert_matches(dynamic_track, pts, (20.0, 330.0))
         assert s.dtype == dtype and valid.shape == (3, 300) and valid.any()
+
+
+def _hairpin_track(radius=5.0):
+    """Two straights around a 270-degree hairpin (sweep > pi)."""
+    return Track.from_sections(
+        [
+            SectorSpec(20.0, 0.0, SIT),
+            SectorSpec(1.5 * np.pi * radius, 1.0 / radius, SIT),
+            SectorSpec(20.0, 0.0, SIT),
+        ]
+    )
+
+
+class TestLocatePointsFootprint:
+    """Skipping segments outside the footprint never changes a claim."""
+
+    @staticmethod
+    def _ground_cloud(track, s, heading, dtype):
+        """The float32 world points and footprint of a 384x192 frame."""
+        ground = CameraModel(width=384, height=192).ground_map()
+        local = np.stack(
+            [ground.forward[ground.on_ground], ground.lateral[ground.on_ground]],
+            axis=-1,
+        ).astype(np.float32)
+        (f0, l0), (f1, l1) = local.min(axis=0), local.max(axis=0)
+        corners = np.array([[f0, l0], [f0, l1], [f1, l0], [f1, l1]], dtype=float)
+        base = track.pose_at(s)
+        pose = Pose2D(base.x, base.y, base.heading + heading)
+        rot = rotation_matrix(pose.heading).astype(np.float32)
+        world = local @ rot.T + pose.position().astype(np.float32)
+        return world.astype(dtype), pose.transform_to_world(corners)
+
+    @staticmethod
+    def _sliver(track, s, dtype, rng, n=400):
+        """Points from 5 cm before to 5 mm past arc length *s*, +-2 m
+        across, and the corners of that rotated box."""
+        pose = track.pose_at(s)
+        lo, hi = np.array([-0.05, -2.0]), np.array([0.005, 2.0])
+        local = rng.uniform(lo, hi, (n, 2))
+        corners = np.array([lo, [lo[0], hi[1]], [hi[0], lo[1]], hi])
+        return pose.transform_to_world(local).astype(dtype), pose.transform_to_world(corners)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ground_clouds_at_segment_starts(self, dynamic_track, dtype, monkeypatch):
+        calls = []
+        locate = TrackSegment.locate
+        monkeypatch.setattr(
+            TrackSegment, "locate", lambda seg, pts: calls.append(seg) or locate(seg, pts)
+        )
+        passes = {"no cull": 0, "footprint": 0}
+        for seg in dynamic_track.segments:
+            for ds in (-2.0, 0.0, 2.0):
+                s = max(seg.s_start + ds, 0.0)
+                window = (s - 25.0, s + 120.0)
+                for heading in (-0.3, 0.0, 0.3):
+                    pts, footprint = self._ground_cloud(dynamic_track, s, heading, dtype)
+                    _assert_matches(dynamic_track, pts, window, footprint)
+                    for key, corners in (("no cull", _NO_CULL), ("footprint", footprint)):
+                        calls.clear()
+                        dynamic_track.locate_points(pts, window, corners)
+                        passes[key] += len(calls)
+        # The cull fired: the footprint runs fewer passes.
+        assert passes["footprint"] < passes["no cull"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_points_just_past_a_segment_start(self, dynamic_track, dtype):
+        """Corners within the margin of a start line keep the segment."""
+        rng = np.random.default_rng(11)
+        for seg in dynamic_track.segments[1:]:
+            pts, footprint = self._sliver(dynamic_track, seg.s_start, dtype, rng)
+            window = (seg.s_start - 25.0, seg.s_start + 25.0)
+            s, _, valid = _assert_matches(dynamic_track, pts, window, footprint)
+            assert valid.all() and (s >= seg.s_start).any()
+
+    @pytest.mark.parametrize("spec", ["L20:40 S200", "R20:40 S200"])
+    def test_track_starting_with_a_turn(self, spec):
+        """A first arc claims every sweep in ``(-pi, theta)``, so part of
+        its claim lies past its end line: frames just past its end keep
+        it, and it claims some far ground points there."""
+        track = parse_scenario(spec)
+        arc = track.segments[0]
+        for ds in (0.0, 5.0, 12.0, 25.0):
+            s = arc.s_end + ds
+            for heading in (-0.3, 0.0, 0.3):
+                pts, footprint = self._ground_cloud(track, s, heading, np.float32)
+                got, _, valid = _assert_matches(track, pts, (s - 25.0, s + 120.0), footprint)
+                assert (valid & (got < arc.s_end)).any()
+
+    def test_sweep_beyond_pi_is_never_culled(self):
+        """Early on the hairpin a footprint lies wholly past its end
+        line, yet the hairpin claims it; the window starts past the
+        opening straight, so no other segment would."""
+        track = _hairpin_track()
+        hairpin = track.segments[1]
+        rng = np.random.default_rng(12)
+        window = (hairpin.s_start + 0.5, track.length)
+        for frac in (0.05, 0.1, 0.2, 0.4):
+            centre = track.pose_at(hairpin.s_start + frac * hairpin.length)
+            pts = centre.position() + rng.uniform(-1.5, 1.5, (300, 2))
+            s, _, valid = _assert_matches(track, pts, window)
+            on_hairpin = (s >= hairpin.s_start) & (s < hairpin.s_end)
+            assert valid.all() and on_hairpin.mean() > 0.5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_track_end_overshoot(self, dynamic_track, dtype):
+        """Clouds wholly before the first start and past the last end
+        stay with the first and last segment."""
+        rng = np.random.default_rng(13)
+        first, last = dynamic_track.segments[0], dynamic_track.segments[-1]
+        end = last.end_pose()
+        for centre, window in (
+            (first.start.position() - 8.0 * first.start.forward(), (-30.0, 30.0)),
+            (end.position() + 8.0 * end.forward(), (last.s_start, last.s_end + 30.0)),
+        ):
+            pts = (centre + rng.normal(0.0, 1.0, (50, 2))).astype(dtype)
+            _, _, valid = _assert_matches(dynamic_track, pts, window)
+            assert valid.all()
+
+    def test_one_segment_track(self):
+        track = Track.from_sections([SectorSpec(50.0, 0.0, SIT)])
+        rng = np.random.default_rng(14)
+        for x in (-10.0, 25.0, 60.0):
+            pts = np.array([x, 0.0]) + rng.normal(0.0, 1.0, (50, 2))
+            s, _, valid = _assert_matches(track, pts, (-100.0, 200.0))
+            assert valid.all() and np.allclose(s, pts[:, 0])

@@ -81,9 +81,11 @@ def triage(expected: HilResult, actual: HilResult) -> List[str]:
     """What a golden mismatch changed, one finding per line; ``[]`` if none.
 
     Every differing trace array gets its first differing index and its
-    largest ulp distance; then the first divergent cycle record, and
-    whether the crash outcome, the MAE and the ``(isp, roi, speed_kmph)``
-    knob sequence still agree.  The last line is the verdict.
+    largest ulp distance; then the first divergent cycle record, with
+    the largest ulp distance over the float fields of all divergent
+    cycles; and whether the crash outcome, the MAE and the
+    ``(isp, roi, speed_kmph)`` knob sequence still agree.  The last line
+    is the verdict, its ulp drift the largest of all of the above.
     """
     lines = []
     max_ulp = 0
@@ -112,19 +114,31 @@ def triage(expected: HilResult, actual: HilResult) -> List[str]:
     exp_cycles = [dataclasses.asdict(c) for c in expected.cycles]
     act_cycles = [dataclasses.asdict(c) for c in actual.cycles]
     if exp_cycles != act_cycles:
-        first = next(
-            (i for i, (e, a) in enumerate(zip(exp_cycles, act_cycles)) if e != a),
-            min(len(exp_cycles), len(act_cycles)),
-        )
-        if first < min(len(exp_cycles), len(act_cycles)):
+        common = min(len(exp_cycles), len(act_cycles))
+        divergent = [i for i in range(common) if exp_cycles[i] != act_cycles[i]]
+        if divergent:
+            first = divergent[0]
+            # The float fields of every divergent cycle count towards the
+            # verdict's ulp drift, as the trace arrays do.
+            pairs = [
+                (exp_cycles[i][key], act_cycles[i][key])
+                for i in divergent
+                for key in exp_cycles[i]
+                if isinstance(exp_cycles[i][key], float)
+                and isinstance(act_cycles[i][key], float)
+            ]
+            ulp = _ulp_distance(*zip(*pairs)) if pairs else 0
+            if max_ulp is not None:
+                max_ulp = max(max_ulp, ulp)
             lines.append(
                 f"cycles: first divergent cycle {first}: "
-                f"{exp_cycles[first]} != {act_cycles[first]}"
+                f"{exp_cycles[first]} != {act_cycles[first]}; "
+                f"{len(divergent)} divergent, max {ulp} ulp"
             )
         else:
             lines.append(
                 f"cycles: count {len(exp_cycles)} != {len(act_cycles)} "
-                f"(equal through cycle {first - 1})"
+                f"(equal through cycle {common - 1})"
             )
 
     outcome = [
@@ -237,6 +251,17 @@ class TestGoldenTriage:
         assert findings[-1] == (
             "verdict: max 0 ulp; outcome differs, knobs agree; MAE agrees"
         )
+
+    def test_one_ulp_cycle_record_nudge(self):
+        """A cycle-record float drift alone still reads as a drift."""
+        golden = self._golden()
+        cycles = list(golden.cycles)
+        nudged = float(np.nextafter(cycles[5].steering, np.inf))
+        cycles[5] = dataclasses.replace(cycles[5], steering=nudged)
+        findings = triage(golden, dataclasses.replace(golden, cycles=cycles))
+        assert findings[0].startswith("cycles: first divergent cycle 5:")
+        assert findings[0].endswith("1 divergent, max 1 ulp")
+        assert findings[-1] == "verdict: max 1 ulp; outcome and knobs agree; MAE agrees"
 
     def test_divergent_cycle_and_knobs(self):
         golden = self._golden()

@@ -14,6 +14,7 @@ from repro.sim.geometry import Pose2D, rotation_matrix
 from repro.sim.photometry import SCENE_PHOTOMETRY, photometry_for
 from repro.sim.renderer import RenderOptions, RoadSceneRenderer, render_raw_batch
 from repro.sim.sensor import add_sensor_noise, bayer_channel_masks, mosaic
+from repro.sim.track import TrackSegment
 from repro.sim.world import static_situation_track
 
 
@@ -103,6 +104,26 @@ class TestSensor:
     def test_noise_rejects_negative_levels(self):
         with pytest.raises(ValueError):
             add_sensor_noise(np.zeros((2, 2)), np.random.default_rng(0), -0.1, 0.0)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            np.linspace(-0.2, 1.3, 96, dtype=np.float32).reshape(8, 12),
+            np.linspace(-0.2, 1.3, 96).reshape(8, 12),
+            np.arange(-4, 8).reshape(3, 4),
+        ],
+        ids=["float32", "float64", "int"],
+    )
+    def test_noise_epilogue_is_the_reference_expression(self, raw):
+        """The in-place epilogue keeps the bits of the plain expression."""
+        read, shot = 0.013, 0.041
+        signal = np.clip(raw, 0.0, None)
+        sigma = np.sqrt(read**2 + (shot**2) * signal)
+        dtype = raw.dtype if raw.dtype in (np.float32, np.float64) else np.float64
+        draw = np.random.default_rng(4).standard_normal(raw.shape, dtype=dtype)
+        want = np.clip(signal + sigma * draw, 0.0, 1.0)
+        got = add_sensor_noise(raw, np.random.default_rng(4), read, shot)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @given(st.floats(min_value=0.0, max_value=0.05))
     @settings(max_examples=20, deadline=None)
@@ -272,6 +293,11 @@ class TestRenderIdentity:
                 assert stacked[lane].tobytes() == alone.tobytes(), (frame, lane)
 
 
+#: A footprint whose corners never all lie behind one claim line: every
+#: window segment runs, as before the renderer culled by its footprint.
+_NO_CULL = np.array([[-1e9, -1e9], [-1e9, 1e9], [1e9, -1e9], [1e9, 1e9]])
+
+
 def _dense_render(renderer, poses, s_vehicles, photometry, raw):
     """Reference render with lane paint (step 3) over every ground sample.
 
@@ -294,7 +320,7 @@ def _dense_render(renderer, poses, s_vehicles, photometry, raw):
         world += pose.position().astype(np.float32)
         window = (s_vehicle - 25.0, s_vehicle + cam.max_distance + 30.0)
         s_pt[lane], d_pt[lane], on_track[lane] = renderer.track.locate_points(
-            world, window
+            world, window, _NO_CULL
         )
     s_pt = np.where(on_track, s_pt, np.float32(0.0))
     d_pt = np.where(on_track, d_pt, np.float32(1e6))
@@ -397,3 +423,38 @@ class TestSparseLanePaint:
         [mask] = seen
         assert mask.shape == (1, renderer._vidx.size)
         assert 0 < mask.sum() < 0.25 * mask.size
+
+
+class TestFootprintCull:
+    """The renderer hands ``locate_points`` its frame footprint."""
+
+    def test_sector_starts_run_one_full_pass(self, dynamic_track, monkeypatch):
+        """Half a metre into every sector after the first, the window
+        still holds the previous segment.  With a footprint that culls
+        nothing it runs over every ground point and claims none; with the
+        frame's footprint it is skipped and the frame is the same bytes."""
+        renderer = RoadSceneRenderer(
+            CameraModel(width=96, height=48), dynamic_track, RenderOptions(noise=False)
+        )
+        n_ground = renderer._vidx.size
+        full_passes = []
+        locate = TrackSegment.locate
+
+        def spy(seg, pts):
+            full_passes.append(len(np.atleast_2d(pts)) == n_ground)
+            return locate(seg, pts)
+
+        monkeypatch.setattr(TrackSegment, "locate", spy)
+        poses = [
+            dynamic_track.pose_at(seg.s_start + 0.5) for seg in dynamic_track.segments[1:]
+        ]
+        culled = [renderer.render_raw(pose) for pose in poses]
+        culled_passes = sum(full_passes)
+        full_passes.clear()
+
+        monkeypatch.setattr(renderer, "_footprint", _NO_CULL)
+        dense = [renderer.render_raw(pose) for pose in poses]
+        assert culled_passes == len(poses)
+        assert sum(full_passes) == 2 * len(poses)
+        for a, b in zip(culled, dense):
+            assert a.tobytes() == b.tobytes()
