@@ -18,18 +18,26 @@ every Fig. 7 sector and at mid-sector, with the frame footprint handed
 to ``Track.locate_points`` (what the renderer does) and with a footprint
 that culls no segment, and records the ``TrackSegment.locate`` passes
 per frame of both arms.
+
+A third row times the sensing chain the closed loop runs on an S7
+cycle, on whole frames and on the camera's sensing box: render with
+sensor noise, S7 ISP and the ROI 1 warp, in ms per frame at 384x192
+and 48x24, one lane (B=1) and sixteen lanes chunked as the engine
+chunks them (B=16).  The box must be the whole frame's bytes where the
+grids read them; no timing bar is set.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 
 from repro.hil.batch import STACK_PIXELS, _stack_chunks
 from repro.isp.pipeline import IspPipeline
-from repro.perception.bev import BevGrid
-from repro.perception.roi import roi_preset
+from repro.perception.bev import BevGrid, bev_grid, sensing_box
+from repro.perception.roi import ROI_PRESETS, roi_preset
 from repro.sim.camera import CameraModel
 from repro.sim.renderer import RenderOptions, RoadSceneRenderer, render_raw_batch
 from repro.sim.track import TrackSegment
@@ -68,6 +76,8 @@ def _arms(kernel, lanes, pixels):
 
 def _stacked_warp(grid, frames):
     """The many-column csr product: all lanes' channels in one RHS."""
+    top, left, bottom, right = grid.support
+    frames = frames[:, top:bottom, left:right]
     batch, height, width, channels = frames.shape
     rhs = frames.reshape(batch, height * width, channels).transpose(1, 0, 2)
     out = grid._operator @ rhs.reshape(height * width, batch * channels)
@@ -144,7 +154,7 @@ def _render_row(renderer, poses, footprint):
     whose corners never all lie behind one claim line, so every window
     segment runs.
     """
-    locate, frame_footprint = TrackSegment.locate, renderer._footprint
+    locate, ground = TrackSegment.locate, renderer._ground
     passes = [0]
 
     def counted(seg, pts):
@@ -153,15 +163,16 @@ def _render_row(renderer, poses, footprint):
 
     TrackSegment.locate = counted
     if not footprint:
-        renderer._footprint = np.array(
-            [[-1e9, -1e9], [-1e9, 1e9], [1e9, -1e9], [1e9, 1e9]]
+        renderer._ground = dataclasses.replace(
+            ground,
+            footprint=np.array([[-1e9, -1e9], [-1e9, 1e9], [1e9, -1e9], [1e9, 1e9]]),
         )
     try:
         frames = [renderer.render_raw(pose) for pose in poses]
         per_frame = passes[0] / len(poses)
         ms = [_best_ms(lambda: renderer.render_raw(pose))[1] for pose in poses]
     finally:
-        TrackSegment.locate, renderer._footprint = locate, frame_footprint
+        TrackSegment.locate, renderer._ground = locate, ground
     return frames, per_frame, float(np.mean(ms))
 
 
@@ -200,3 +211,80 @@ def test_render_raw_frenet_passes(benchmark):
             f"(no cull {table[f'render_raw_{spot}_passes_no_cull']:.2f}, "
             f"{table[f'render_raw_{spot}_ms_no_cull']:.2f} ms)"
         )
+
+
+def _sense(camera, track, poses, box, lanes):
+    """Render (noisy), S7 ISP and ROI 1 warp of *poses*, chunked as the
+    engine chunks *lanes* lanes; ``(outputs, ms per frame)`` per stage."""
+    top, left, bottom, right = box or (0, 0, camera.height, camera.width)
+    chunks = _stack_chunks(list(range(lanes)), (bottom - top) * (right - left))
+    pipeline = IspPipeline("S7")
+    grid = bev_grid(camera, ROI_PRESETS["ROI 1"])
+
+    # Every arm renders _ROUNDS times, so its last frames carry the
+    # same noise draws as the other arm's.
+    renderers = [RoadSceneRenderer(camera, track, seed=i) for i in range(lanes)]
+
+    def render():
+        return np.concatenate(
+            [
+                render_raw_batch(
+                    [renderers[i] for i in chunk], [poses[i] for i in chunk], box=box
+                )
+                for chunk in chunks
+            ]
+        )
+
+    raws, render_ms = _best_ms(render)
+    rgbs, isp_ms = _best_ms(
+        lambda: np.concatenate([pipeline.process_batch(raws[c[0] : c[-1] + 1]) for c in chunks])
+    )
+    bevs, warp_ms = _best_ms(lambda: np.concatenate([grid.warp_batch(rgb[None]) for rgb in rgbs]))
+    return (raws, rgbs, bevs), {
+        "render": render_ms / lanes,
+        "isp": isp_ms / lanes,
+        "warp": warp_ms / lanes,
+    }
+
+
+def test_sensing_box_vs_frame(benchmark):
+    track = fig7_track()
+    sectors = [track.pose_at(seg.s_start + 1.0 + 0.2 * k) for k, seg in enumerate(track.segments)]
+    table = {}
+
+    def measure():
+        for width, height in ((384, 192), (48, 24)):
+            camera = CameraModel(width=width, height=height)
+            box = sensing_box(camera)
+            top, left, bottom, right = box
+            for lanes in (1, LANES):
+                poses = (sectors * LANES)[:lanes]
+                (raw, rgb, bev), whole_ms = _sense(camera, track, poses, None, lanes)
+                (raw_box, rgb_box, bev_box), box_ms = _sense(camera, track, poses, box, lanes)
+                assert raw_box.tobytes() == np.ascontiguousarray(
+                    raw[:, top:bottom, left:right]
+                ).tobytes(), f"render at {width}x{height}"
+                for roi in ROI_PRESETS.values():
+                    t, l, b, r = bev_grid(camera, roi).support
+                    assert (
+                        rgb_box[:, t - top : b - top, l - left : r - left].tobytes()
+                        == rgb[:, t:b, l:r].tobytes()
+                    ), f"S7 ISP at {width}x{height} over {roi.name}"
+                assert bev_box.tobytes() == bev.tobytes(), f"warp at {width}x{height}"
+                for stage in whole_ms:
+                    key = f"{stage}_{width}x{height}_b{lanes}"
+                    table[f"{key}_frame_ms"] = round(whole_ms[stage], 3)
+                    table[f"{key}_box_ms"] = round(box_ms[stage], 3)
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["rounds"] = _ROUNDS
+    benchmark.extra_info.update(table)
+    print()
+    for width, height in ((384, 192), (48, 24)):
+        for lanes in (1, LANES):
+            cells = [
+                f"{stage} {table[f'{stage}_{width}x{height}_b{lanes}_frame_ms']:.2f}"
+                f" -> {table[f'{stage}_{width}x{height}_b{lanes}_box_ms']:.2f}"
+                for stage in ("render", "isp", "warp")
+            ]
+            print(f"{width}x{height} B={lanes} ms/frame (frame -> box): " + "; ".join(cells))

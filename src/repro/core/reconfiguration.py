@@ -68,6 +68,11 @@ class SituationIdentifier:
     ``"scene"`` (:class:`Scene`) — only for the classifiers in *which*.
     """
 
+    #: Whether :meth:`identify` looks at the frame's pixels.  The
+    #: closed loop senses only the part of the frame perception reads
+    #: on cycles where no invoked identifier does.
+    reads_frame = True
+
     def identify(
         self,
         frame_rgb: np.ndarray,
@@ -83,8 +88,11 @@ class OracleIdentifier(SituationIdentifier):
     With ``accuracy < 1`` each invocation independently returns a wrong
     label with probability ``1 - accuracy`` (uniform over the wrong
     classes), modelling the ~0.1 % error rates of Table IV or any
-    degraded classifier for sensitivity studies.
+    degraded classifier for sensitivity studies.  It never looks at the
+    frame.
     """
+
+    reads_frame = False
 
     def __init__(self, accuracy: float = 1.0, seed: int = 0):
         if not 0.0 < accuracy <= 1.0:

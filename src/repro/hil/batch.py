@@ -10,8 +10,8 @@ control cycles — and funnels the hot sensing stages through
 leading-axis kernel calls per cycle, stacking lanes only where a stack
 pays:
 
-- **render** — lanes sharing (track, camera, options) stack their poses
-  over the shared per-situation photometry constants
+- **render** — lanes sharing (track, camera, options, sensed extent)
+  stack their poses over the shared per-situation photometry constants
   (:func:`repro.sim.renderer.render_raw_batch`);
 - **ISP** — lanes running the same configuration stack their RAW planes
   through :meth:`repro.isp.pipeline.IspPipeline.process_batch`, ISP
@@ -29,6 +29,15 @@ pixels per call, so a 16-lane group at 48x24 still goes through whole,
 while at 384x192 (one frame is already 73,728 pixels, a 16-frame stack
 4.7 MB of RAW and 14 MB of RGB) every lane gets its own call, which
 runs ~1.1-1.2x faster per frame than the stack (DESIGN.md section 5).
+
+A lane senses only its camera's :func:`~repro.perception.bev.sensing_box`
+(render, noise, ISP and warp all run on that crop) on a cycle where
+perception is the frame's only reader: no invoked identifier looks at
+pixels, the active ISP configuration has no whole-frame statistic
+(:data:`~repro.isp.stages.FRAME_STATISTIC_STAGES`), and no fault plan
+touches the frame.  Every other lane-cycle senses the whole frame.  The
+crop is bit for bit the whole frame's pixels where perception reads
+them (DESIGN.md section 5).
 
 Between cycles, lanes sharing a plant configuration advance their
 5 ms steps as one stacked cohort (:meth:`Vehicle.step_batch` +
@@ -61,8 +70,11 @@ from repro.core.reconfiguration import SituationIdentifier
 from repro.core.situation import Situation
 from repro.hil.engine import HilConfig, HilEngine
 from repro.hil.record import HilResult
+from repro.isp.stages import FRAME_STATISTIC_STAGES
+from repro.perception.bev import sensing_box
 from repro.perception.pipeline import PerceptionResult
 from repro.perception.pipeline import process_batch as perception_process_batch
+from repro.sim.camera import PixelBox
 from repro.sim.geometry import Pose2D
 from repro.sim.renderer import render_raw_batch
 from repro.sim.track import Track
@@ -412,6 +424,23 @@ class BatchedHilEngine:
             lane.pending.append((lane.step + tau_steps, u))
             lane.control_due = lane.step + h_steps
 
+    @staticmethod
+    def _sensed_box(engine: HilEngine, pre) -> Optional[PixelBox]:
+        """The box of the frame a lane-cycle senses; ``None`` is all of it.
+
+        The camera's sensing box when perception is the only reader of
+        the frame: no invoked identifier looks at pixels, the active ISP
+        configuration has no whole-frame statistic, and no fault plan
+        is armed (RAW banding and ISP taps see whole frames).
+        """
+        if engine.injector.enabled or (
+            pre.invoked and getattr(engine.identifier, "reads_frame", True)
+        ):
+            return None
+        if not FRAME_STATISTIC_STAGES.isdisjoint(engine._isp(pre.active_isp).config.stages):
+            return None
+        return sensing_box(engine.camera, *engine.perception._bev_shape)
+
     def _render(
         self,
         due: List[_Lane],
@@ -421,18 +450,25 @@ class BatchedHilEngine:
         """Batched render + per-lane RAW corruption; RAW plane per lane."""
         groups: Dict[tuple, List[int]] = {}
         for i in sensing:
-            renderer = due[i].engine.renderer
-            key = (id(renderer.track), renderer.camera, renderer.options)
+            engine = due[i].engine
+            renderer = engine.renderer
+            box = self._sensed_box(engine, pres[i])
+            key = (id(renderer.track), renderer.camera, renderer.options, box)
             groups.setdefault(key, []).append(i)
 
         raws: Dict[int, np.ndarray] = {}
-        for members in groups.values():
-            camera = due[members[0]].engine.renderer.camera
-            for chunk in _stack_chunks(members, camera.height * camera.width):
+        for (_, camera, _, box), members in groups.items():
+            top, left, bottom, right = box or (0, 0, camera.height, camera.width)
+            for chunk in _stack_chunks(members, (bottom - top) * (right - left)):
                 renderers = [due[i].engine.renderer for i in chunk]
                 poses = [pres[i].state.pose for i in chunk]
                 with profile("hil.render", count=len(chunk)):
-                    stacked = render_raw_batch(renderers, poses)
+                    stacked = render_raw_batch(
+                        renderers,
+                        poses,
+                        s_vehicles=[pres[i].s_now for i in chunk],
+                        box=box,
+                    )
                 for j, i in enumerate(chunk):
                     raws[i] = stacked[j]
         for i in sensing:

@@ -23,6 +23,7 @@ from scipy import ndimage
 from repro.utils.scratch import ScratchCache
 
 __all__ = [
+    "FRAME_STATISTIC_STAGES",
     "IspStage",
     "demosaic",
     "denoise",
@@ -46,6 +47,14 @@ class IspStage(str, Enum):
     COLOR_MAP = "CM"
     GAMUT_MAP = "GM"
     TONE_MAP = "TM"
+
+
+#: Stages whose output at a pixel depends on a statistic of the whole
+#: frame: CM's gray-world channel means and TM's mean luma.  DM, DN and
+#: GM read at most a few pixels around each pixel, so a configuration
+#: without these stages maps a crop to the crop of its output, away
+#: from the crop's edges.
+FRAME_STATISTIC_STAGES = frozenset({IspStage.COLOR_MAP, IspStage.TONE_MAP})
 
 
 # Neighbour taps ``(drow, dcol)`` of the bilinear demosaic, each in the

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.utils.contracts import check_shapes
 from repro.utils.profiling import profile
-from repro.perception.bev import BevGrid
+from repro.perception.bev import BevGrid, bev_grid
 from repro.perception.lane_fit import LaneFit, fit_lane_lines
 from repro.perception.roi import RoiPreset, roi_preset
 from repro.perception.sliding_window import (
@@ -72,8 +72,9 @@ class PerceptionResult:
 class PerceptionPipeline:
     """Sliding-window lane detection with a switchable ROI knob.
 
-    BEV grids are cached per ROI preset, so runtime ROI reconfiguration
-    (the paper's dynamic PR knob) costs a dictionary lookup.
+    BEV grids are built once per process and camera (:func:`bev_grid`),
+    so runtime ROI reconfiguration (the paper's dynamic PR knob) costs a
+    cache lookup.
     """
 
     #: Consecutive invalid frames after which temporal hints expire.
@@ -98,7 +99,6 @@ class PerceptionPipeline:
         self.temporal_tracking = temporal_tracking
         self.require_both_lines = require_both_lines
         self._bev_shape = (n_rows, n_cols)
-        self._grids: Dict[str, BevGrid] = {}
         self._roi: RoiPreset = roi if isinstance(roi, RoiPreset) else roi_preset(roi)
         self._hints = None
         self._hint_misses = 0
@@ -126,11 +126,7 @@ class PerceptionPipeline:
         self._hint_misses = 0
 
     def _grid(self) -> BevGrid:
-        grid = self._grids.get(self._roi.name)
-        if grid is None:
-            grid = BevGrid(self.camera, self._roi, *self._bev_shape)
-            self._grids[self._roi.name] = grid
-        return grid
+        return bev_grid(self.camera, self._roi, *self._bev_shape)
 
     @check_shapes(frame_rgb=("H", "W", 3))
     def process(self, frame_rgb: np.ndarray) -> PerceptionResult:

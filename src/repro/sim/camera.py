@@ -23,7 +23,10 @@ import numpy as np
 
 from repro.utils.validation import check_positive
 
-__all__ = ["CameraModel", "GroundMap"]
+__all__ = ["CameraModel", "GroundMap", "PixelBox"]
+
+#: A box of camera-frame pixels ``(top, left, bottom, right)``, half-open.
+PixelBox = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)

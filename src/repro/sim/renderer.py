@@ -20,6 +20,11 @@ computed only to be thrown away by a mosaic; an RGB frame evaluates all
 three channels of every pixel.  The chain is elementwise per sample, so
 a RAW pixel is bit-identical to the same channel of the RGB frame.
 
+A render may cover only a box of the frame (the closed loop senses
+just the part perception reads when nothing else needs the rest): the
+same elementwise chain over the ground samples inside the box, so every
+pixel of it carries the whole frame's bits.
+
 The output is *linear light*; the tone-mapping ISP stage is what
 moves it to a display/perception-friendly domain, which is exactly why
 skipping that stage hurts low-light situations in the reproduction.
@@ -27,13 +32,14 @@ skipping that stage hurts low-light situations in the reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.situation import LaneColor, LaneForm, Scene
-from repro.sim.camera import CameraModel, GroundMap
+from repro.sim.camera import CameraModel, GroundMap, PixelBox
 from repro.sim.geometry import Pose2D, rotation_matrix
 from repro.sim.photometry import ScenePhotometry, photometry_for
 from repro.sim.sensor import add_sensor_noise, bayer_channel_index
@@ -110,47 +116,13 @@ class RoadSceneRenderer:
         self.options = options or RenderOptions()
         self.seed = seed
         self._noise_rng = derive_rng(seed, "camera-noise")
-        # The ground map is only needed to build the per-sample arrays.
-        gm: GroundMap = camera.ground_map()
-        self._vidx = np.nonzero(gm.on_ground.ravel())[0]
-        self._fwd = gm.forward.ravel()[self._vidx].astype(np.float32)
-        lateral = gm.lateral.ravel()[self._vidx].astype(np.float32)
-        self._lat_fp = np.maximum(
-            gm.lateral_footprint.ravel()[self._vidx], 1e-4
-        ).astype(np.float32)
-        self._fwd_fp = np.maximum(
-            gm.forward_footprint.ravel()[self._vidx], 1e-4
-        ).astype(np.float32)
-        self._local = np.stack([self._fwd, lateral], axis=-1)
-        # Corners of the local ground box: every frame's ground points lie
-        # inside their pose image, which lets ``locate_points`` skip the
-        # segments that cannot claim any of them.
-        fwd, lat = self._local.T if self._vidx.size else np.zeros((2, 1))
-        self._footprint = np.array(
-            [[f, y] for f in (fwd.min(), fwd.max()) for y in (lat.min(), lat.max())],
-            dtype=float,
-        )
-        # Lateral reach of the left (double pair, the widest form) and the
-        # right marking, plus a full footprint: coverage already clips to
-        # 0 half a footprint out, so the margin is safe against rounding.
-        self._left_reach = (
-            np.float32(DOUBLE_LINE_OFFSET + DOUBLE_LINE_HALF_WIDTH) + self._lat_fp
-        )
-        self._right_reach = np.float32(MARK_HALF_WIDTH) + self._lat_fp
-        # Per-segment appearance tables are pose-independent: built once
-        # here, reused by every frame (never recomputed per render).
+        # Pose-independent sample tables of the whole frame, shared by
+        # every renderer of this camera; per-segment appearance tables
+        # depend on the track and are built here once.
+        self._ground = _ground_samples(camera)
         self._segment_tables = self._build_segment_tables()
-        # The Bayer channel each pixel samples, as a trailing axis of one:
-        # per-pixel channel constants then broadcast over (B, N, 1)
-        # exactly where the RGB path broadcasts (3,) constants.
-        bayer = bayer_channel_index(camera.height, camera.width).astype(np.uint8)
-        self._bayer_sky = bayer.reshape(-1, 1)
-        self._bayer_ground = self._bayer_sky[self._vidx]
-        self._raw_albedos = tuple(a[self._bayer_ground] for a in _RGB_ALBEDOS)
-        # Reusable per-frame temporaries (world points) and
-        # per-photometry float32 constants; both bounded.
+        # Reusable per-frame temporaries (world points); bounded.
         self._scratch = ScratchCache(max_entries=16)
-        self._photometry_arrays: dict = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -185,20 +157,36 @@ class RoadSceneRenderer:
     # ------------------------------------------------------------------
 
     def _situate(
-        self, pose: Pose2D, scene: Optional[Scene]
+        self, pose: Pose2D, scene: Optional[Scene], s_vehicle: Optional[float] = None
     ) -> Tuple[float, ScenePhotometry]:
-        """The vehicle's arc length and the photometry it renders under."""
-        s_vehicle, _ = self.track.frenet(pose.x, pose.y)
+        """The vehicle's arc length and the photometry it renders under.
+
+        *s_vehicle*, when the caller already tracks it, replaces the
+        hint-free Frenet lookup of *pose*.
+        """
+        if s_vehicle is None:
+            s_vehicle, _ = self.track.frenet(pose.x, pose.y)
         if scene is None:
             scene = self.track.situation_at(s_vehicle).scene
         return s_vehicle, photometry_for(scene)
 
-    def _add_noise(self, raw: np.ndarray, photometry: ScenePhotometry) -> np.ndarray:
-        """One draw from this renderer's ``camera-noise`` stream, if enabled."""
+    def _add_noise(
+        self,
+        raw: np.ndarray,
+        photometry: ScenePhotometry,
+        box: Optional[PixelBox] = None,
+    ) -> np.ndarray:
+        """One whole-frame draw from this renderer's ``camera-noise``
+        stream, if enabled; *raw* is the frame's crop to *box*."""
         if not self.options.noise:
             return raw
         return add_sensor_noise(
-            raw, self._noise_rng, photometry.read_noise, photometry.shot_noise
+            raw,
+            self._noise_rng,
+            photometry.read_noise,
+            photometry.shot_noise,
+            frame_shape=(self.camera.height, self.camera.width),
+            origin=(0, 0) if box is None else box[:2],
         )
 
     def _build_segment_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,57 +200,35 @@ class RoadSceneRenderer:
         )
         return bounds, forms, colors
 
-    def _photometry_constants(self, photometry: ScenePhotometry, raw: bool):
-        """Pose-independent ``(illum, tint, sky)``, built once per photometry.
-
-        ``illum`` is the headlight profile over the ground samples
-        (``None`` when uniformly lit).  ``tint`` and the clipped ``sky``
-        are gathered at each pixel's Bayer channel for a RAW frame and
-        stay ``(3,)`` for an RGB frame.
-        """
-        cached = self._photometry_arrays.get((photometry, raw))
-        if cached is None:
-            illum = None
-            if np.isfinite(photometry.headlight_falloff):
-                illum = np.float32(photometry.exposure) * (
-                    np.float32(0.25)
-                    + np.float32(0.75)
-                    * np.exp(-self._fwd / np.float32(photometry.headlight_falloff))
-                )
-            tint = photometry.tint_array().astype(np.float32)
-            sky = (photometry.sky_array() * max(photometry.exposure, 0.05)).astype(
-                np.float32
-            )
-            if raw:
-                tint, sky = tint[self._bayer_ground], sky[self._bayer_sky]
-            cached = (illum, tint, np.clip(sky, 0.0, 1.0))
-            self._photometry_arrays[(photometry, raw)] = cached
-        return cached
-
     def _render(
         self,
         poses: Sequence[Pose2D],
         s_vehicles: Sequence[float],
         photometry: ScenePhotometry,
         raw: bool = True,
+        box: Optional[PixelBox] = None,
     ) -> np.ndarray:
         """Render B noise-free frames sharing one photometry.
 
         Returns ``(B, H, W)`` RGGB planes when *raw*, else ``(B, H, W, 3)``
-        linear RGB.  Ground samples carry a trailing channel axis: one
+        linear RGB; with a *box*, only that crop ``(B, h, w[, 3])`` of
+        every frame.  Ground samples carry a trailing channel axis: one
         entry (the pixel's Bayer channel) for RAW, three for RGB.  The
         pose matmul and ``locate_points`` with its per-lane s-window and
         footprint run per lane into rows of stacked buffers; everything
         after is elementwise/broadcast math, which numpy evaluates identically
         for any leading shape and any channel gather — that is what
-        keeps a lane bit-identical to a B=1 render, and a RAW pixel
-        bit-identical to the same channel of the RGB frame.
+        keeps a lane bit-identical to a B=1 render, a RAW pixel
+        bit-identical to the same channel of the RGB frame, and a box
+        bit-identical to the crop of the whole frame (its samples are a
+        subset, and ``locate_points`` gives every point the same bits
+        whatever the other points and the footprint holding them).
         """
-        cam = self.camera
         opts = self.options
-        batch, n_pts = len(poses), self._local.shape[0]
-        road, shoulder, yellow, white = self._raw_albedos if raw else _RGB_ALBEDOS
-        illum, tint, sky = self._photometry_constants(photometry, raw)
+        ground = self._ground if box is None else _ground_samples(self.camera, box)
+        batch, n_pts = len(poses), ground.local.shape[0]
+        road, shoulder, yellow, white = ground.raw_albedos if raw else _RGB_ALBEDOS
+        illum, tint, sky = ground.photometry_constants(photometry, raw)
 
         # 1. ground pixels -> world -> road coordinates (per lane)
         world = self._scratch.get("world", (batch, n_pts, 2))
@@ -271,11 +237,11 @@ class RoadSceneRenderer:
         on_track = np.empty((batch, n_pts), dtype=bool)
         for lane, (pose, s_vehicle) in enumerate(zip(poses, s_vehicles)):
             rot = rotation_matrix(pose.heading).astype(np.float32)
-            np.matmul(self._local, rot.T, out=world[lane])
+            np.matmul(ground.local, rot.T, out=world[lane])
             world[lane] += pose.position().astype(np.float32)
-            window = (s_vehicle - 25.0, s_vehicle + cam.max_distance + 30.0)
+            window = (s_vehicle - 25.0, s_vehicle + self.camera.max_distance + 30.0)
             s_pt[lane], d_pt[lane], on_track[lane] = self.track.locate_points(
-                world[lane], window, pose.transform_to_world(self._footprint)
+                world[lane], window, pose.transform_to_world(ground.footprint)
             )
         s_pt = np.where(on_track, s_pt, np.float32(0.0))
         d_pt = np.where(on_track, d_pt, np.float32(1e6))  # far off-road
@@ -291,12 +257,12 @@ class RoadSceneRenderer:
 
         # 3. lane markings, evaluated only at the paint candidates (flat
         # sample indices); the right marking is always a dotted line
-        paint = np.flatnonzero(self._paint_candidates(d_pt, half))
+        paint = np.flatnonzero(self._paint_candidates(d_pt, half, ground))
         cols = paint % n_pts
         if raw:
             yellow, white = yellow[cols], white[cols]
         s_paint = s_pt.reshape(-1)[paint]
-        lat_fp, fwd_fp = self._lat_fp[cols], self._fwd_fp[cols]
+        lat_fp, fwd_fp = ground.lat_fp[cols], ground.fwd_fp[cols]
         seg_idx = (
             np.searchsorted(self._segment_tables[0], s_paint, side="right") - 1
         ).clip(0, len(self.track.segments) - 1)
@@ -337,14 +303,18 @@ class RoadSceneRenderer:
         radiance = np.clip(albedo, 0.0, 1.0, out=albedo)
 
         # 5. scatter into the frames; (pre-clipped) sky everywhere else
-        frame = np.empty((batch, cam.height * cam.width, albedo.shape[-1]), np.float32)
+        height, width = ground.shape
+        frame = np.empty((batch, height * width, albedo.shape[-1]), np.float32)
         frame[:] = sky
-        frame[:, self._vidx] = radiance
+        frame[:, ground.vidx] = radiance
         if raw:
-            return frame.reshape(batch, cam.height, cam.width)
-        return frame.reshape(batch, cam.height, cam.width, 3)
+            return frame.reshape(batch, height, width)
+        return frame.reshape(batch, height, width, 3)
 
-    def _paint_candidates(self, d_pt: np.ndarray, half: float) -> np.ndarray:
+    @staticmethod
+    def _paint_candidates(
+        d_pt: np.ndarray, half: float, ground: "_GroundSamples"
+    ) -> np.ndarray:
         """``(B, N)`` mask of the ground samples a lane line can reach.
 
         Every other sample has coverage exactly ``0.0`` for both
@@ -352,8 +322,8 @@ class RoadSceneRenderer:
         and the retroreflective factor ``1 + 0.6 * 0`` are the identity
         in float32, so step 3 of :meth:`_render` skips them bit-exactly.
         """
-        return (np.abs(d_pt - half) < self._left_reach) | (
-            np.abs(d_pt + half) < self._right_reach
+        return (np.abs(d_pt - half) < ground.left_reach) | (
+            np.abs(d_pt + half) < ground.right_reach
         )
 
     @staticmethod
@@ -422,10 +392,146 @@ def _position_hash(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     return 2.0 * (q - np.floor(q)) - 1.0
 
 
+@dataclass(frozen=True, eq=False)
+class _GroundSamples:
+    """Pose-independent tables of the ground samples of one frame extent.
+
+    The extent is the whole frame or a box of it; ``vidx`` holds each
+    sample's flat pixel index in the extent, and every per-sample table
+    is in that order.  Built once per process by :func:`_ground_samples`
+    and shared by every renderer of the camera, so the arrays are
+    read-only.
+    """
+
+    #: ``(height, width)`` of the extent.
+    shape: Tuple[int, int]
+    vidx: np.ndarray
+    #: ``(N, 2)`` vehicle-frame (forward, lateral) ground points.
+    local: np.ndarray
+    fwd: np.ndarray
+    lat_fp: np.ndarray
+    fwd_fp: np.ndarray
+    #: Lateral reach of the left (double pair, the widest form) and the
+    #: right marking, plus a full footprint: coverage already clips to
+    #: 0 half a footprint out, so the margin is safe against rounding.
+    left_reach: np.ndarray
+    right_reach: np.ndarray
+    #: Corners of the local ground box: every frame's ground points lie
+    #: inside their pose image, which lets ``locate_points`` skip the
+    #: segments that cannot claim any of them.
+    footprint: np.ndarray
+    #: The Bayer channel each pixel (``bayer_sky``, ``(h*w, 1)``) and
+    #: each ground sample (``bayer_ground``, ``(N, 1)``) samples, as a
+    #: trailing axis of one: per-pixel channel constants then broadcast
+    #: over (B, N, 1) exactly where the RGB path broadcasts (3,) ones.
+    bayer_sky: np.ndarray
+    bayer_ground: np.ndarray
+    raw_albedos: Tuple[np.ndarray, ...]
+    _photometry: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def build(cls, shape, vidx, fwd, lateral, lat_fp, fwd_fp, bayer) -> "_GroundSamples":
+        """Tables of the samples *vidx* with the given per-sample values."""
+        local = np.stack([fwd, lateral], axis=-1)
+        f, y = local.T if vidx.size else np.zeros((2, 1))
+        footprint = np.array(
+            [[a, b] for a in (f.min(), f.max()) for b in (y.min(), y.max())], dtype=float
+        )
+        bayer_sky = bayer.reshape(-1, 1)
+        bayer_ground = bayer_sky[vidx]
+        samples = cls(
+            shape=shape,
+            vidx=vidx,
+            local=local,
+            fwd=fwd,
+            lat_fp=lat_fp,
+            fwd_fp=fwd_fp,
+            left_reach=np.float32(DOUBLE_LINE_OFFSET + DOUBLE_LINE_HALF_WIDTH) + lat_fp,
+            right_reach=np.float32(MARK_HALF_WIDTH) + lat_fp,
+            footprint=footprint,
+            bayer_sky=bayer_sky,
+            bayer_ground=bayer_ground,
+            raw_albedos=tuple(a[bayer_ground] for a in _RGB_ALBEDOS),
+        )
+        for value in vars(samples).values():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+        return samples
+
+    def photometry_constants(self, photometry: ScenePhotometry, raw: bool):
+        """Pose-independent ``(illum, tint, sky)``, built once per photometry.
+
+        ``illum`` is the headlight profile over the ground samples
+        (``None`` when uniformly lit).  ``tint`` and the clipped ``sky``
+        are gathered at each pixel's Bayer channel for a RAW frame and
+        stay ``(3,)`` for an RGB frame.
+        """
+        cached = self._photometry.get((photometry, raw))
+        if cached is None:
+            illum = None
+            if np.isfinite(photometry.headlight_falloff):
+                illum = np.float32(photometry.exposure) * (
+                    np.float32(0.25)
+                    + np.float32(0.75)
+                    * np.exp(-self.fwd / np.float32(photometry.headlight_falloff))
+                )
+            tint = photometry.tint_array().astype(np.float32)
+            sky = (photometry.sky_array() * max(photometry.exposure, 0.05)).astype(
+                np.float32
+            )
+            if raw:
+                tint, sky = tint[self.bayer_ground], sky[self.bayer_sky]
+            cached = (illum, tint, np.clip(sky, 0.0, 1.0))
+            for array in cached:
+                if array is not None:
+                    array.flags.writeable = False
+            self._photometry[(photometry, raw)] = cached
+        return cached
+
+
+@lru_cache(maxsize=32)
+def _ground_samples(camera: CameraModel, box: Optional[PixelBox] = None) -> _GroundSamples:
+    """The ground samples of *camera*'s whole frame, or of its *box*.
+
+    A box keeps the whole frame's samples that fall inside it, in the
+    same order and with the same values, renumbered into the box.
+    """
+    if box is None:
+        gm: GroundMap = camera.ground_map()
+        vidx = np.nonzero(gm.on_ground.ravel())[0]
+        return _GroundSamples.build(
+            (camera.height, camera.width),
+            vidx,
+            gm.forward.ravel()[vidx].astype(np.float32),
+            gm.lateral.ravel()[vidx].astype(np.float32),
+            np.maximum(gm.lateral_footprint.ravel()[vidx], 1e-4).astype(np.float32),
+            np.maximum(gm.forward_footprint.ravel()[vidx], 1e-4).astype(np.float32),
+            bayer_channel_index(camera.height, camera.width).astype(np.uint8),
+        )
+    full = _ground_samples(camera)
+    top, left, bottom, right = box
+    rows, cols = np.divmod(full.vidx, camera.width)
+    keep = (rows >= top) & (rows < bottom) & (cols >= left) & (cols < right)
+    width = right - left
+    bayer = full.bayer_sky.reshape(camera.height, camera.width)[top:bottom, left:right]
+    return _GroundSamples.build(
+        (bottom - top, width),
+        (rows[keep] - top) * width + (cols[keep] - left),
+        full.fwd[keep],
+        full.local[keep, 1],
+        full.lat_fp[keep],
+        full.fwd_fp[keep],
+        bayer,
+    )
+
+
 def render_raw_batch(
     renderers: Sequence[RoadSceneRenderer],
     poses: Sequence[Pose2D],
     scenes: Optional[Sequence[Optional[Scene]]] = None,
+    s_vehicles: Optional[Sequence[float]] = None,
+    box: Optional[PixelBox] = None,
 ) -> np.ndarray:
     """Render one RAW frame per lane in a single batched pass.
 
@@ -435,10 +541,18 @@ def render_raw_batch(
     Lanes are sub-grouped by scene photometry so each group renders
     through one :meth:`RoadSceneRenderer._render` call.  Sensor
     noise stays strictly per-lane: each lane draws from its own
-    ``camera-noise`` stream, one draw per frame, exactly as in
-    :meth:`RoadSceneRenderer.render_raw`.
+    ``camera-noise`` stream, one whole-frame draw per frame, exactly as
+    in :meth:`RoadSceneRenderer.render_raw`.
 
-    Returns the stacked ``(B, H, W)`` Bayer planes in lane order.
+    *s_vehicles* gives each lane's arc length when the caller already
+    tracks it (otherwise each pose is located hint-free, as
+    :meth:`RoadSceneRenderer.render_raw` does).  With a *box*
+    ``(top, left, bottom, right)``, with an even top and left so the
+    crop keeps the RGGB parity, only that crop of every frame is
+    rendered and noised, bit for bit as in the whole frame.
+
+    Returns the stacked ``(B, H, W)`` Bayer planes (``(B, h, w)`` crops
+    with a *box*) in lane order.
     """
     lead = renderers[0]
     n_lanes = len(renderers)
@@ -450,18 +564,28 @@ def render_raw_batch(
                 "render_raw_batch lanes must share track, camera and options"
             )
 
-    # Per-lane situate: same frenet + situation lookup as render_raw.
-    situated = [r._situate(pose, scene) for r, pose, scene in zip(renderers, poses, scenes)]
+    if s_vehicles is None:
+        s_vehicles = [None] * n_lanes
+
+    # Per-lane situate: same situation lookup as render_raw.
+    situated = [
+        r._situate(pose, scene, s)
+        for r, pose, scene, s in zip(renderers, poses, scenes, s_vehicles)
+    ]
     groups: dict = {}
     for lane, (_, photometry) in enumerate(situated):
         groups.setdefault(photometry, []).append(lane)
 
     cam = lead.camera
-    out = np.empty((n_lanes, cam.height, cam.width), dtype=np.float32)
+    top, left, bottom, right = box or (0, 0, cam.height, cam.width)
+    out = np.empty((n_lanes, bottom - top, right - left), dtype=np.float32)
     for photometry, lanes in groups.items():
         raw = lead._render(
-            [poses[i] for i in lanes], [situated[i][0] for i in lanes], photometry
+            [poses[i] for i in lanes],
+            [situated[i][0] for i in lanes],
+            photometry,
+            box=box,
         )
         for j, i in enumerate(lanes):
-            out[i] = renderers[i]._add_noise(raw[j], photometry)
+            out[i] = renderers[i]._add_noise(raw[j], photometry, box)
     return out

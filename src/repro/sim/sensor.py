@@ -9,7 +9,7 @@ reconstructs.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -60,12 +60,19 @@ def add_sensor_noise(
     rng: np.random.Generator,
     read_noise: float,
     shot_noise: float,
+    frame_shape: Optional[Tuple[int, int]] = None,
+    origin: Tuple[int, int] = (0, 0),
 ) -> np.ndarray:
     """Add read (Gaussian) and shot (signal-dependent) noise, clip to [0, 1].
 
     The shot-noise term scales with the square root of the signal, the
     standard approximation of Poisson photon noise in the continuous
     domain.
+
+    *raw* may be a crop, at *origin*, of a frame of *frame_shape*: the
+    standard normals are still drawn for the whole frame, so *rng*
+    advances the same whatever part of the frame is sensed, and the
+    crop gets the same noise as those pixels of the whole frame.
     """
     if read_noise < 0 or shot_noise < 0:
         raise ValueError("noise levels must be non-negative")
@@ -76,7 +83,10 @@ def add_sensor_noise(
     sigma += read_noise**2
     np.sqrt(sigma, out=sigma)
     dtype = raw.dtype if raw.dtype in (np.float32, np.float64) else np.float64
-    noisy = rng.standard_normal(raw.shape, dtype=dtype)
+    noisy = rng.standard_normal(frame_shape or raw.shape, dtype=dtype)
+    if frame_shape is not None:
+        top, left = origin
+        noisy = noisy[top : top + raw.shape[0], left : left + raw.shape[1]]
     noisy *= sigma
     noisy += signal
     return np.clip(noisy, 0.0, 1.0, out=noisy)

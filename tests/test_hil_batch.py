@@ -190,9 +190,9 @@ class TestChunkedSensing:
         render = batch_mod.render_raw_batch
         process_batch = IspPipeline.process_batch
 
-        def render_spy(renderers, poses):
+        def render_spy(renderers, poses, **kwargs):
             calls["render"].append(len(renderers))
-            return render(renderers, poses)
+            return render(renderers, poses, **kwargs)
 
         def isp_spy(pipeline, raw, taps=None):
             calls["isp"].append(raw.shape[0])

@@ -502,8 +502,10 @@ class TestBatchedKernels:
         grid = BevGrid(small_camera, roi, n_rows=32, n_cols=48)
         batched = grid.warp_batch(frames)
         assert batched.shape == (16, 32, 48, 3)
-        hw = small_camera.height * small_camera.width
-        many = grid._operator @ frames.reshape(16, hw, 3).transpose(1, 0, 2).reshape(hw, 48)
+        top, left, bottom, right = grid.support
+        hw = (bottom - top) * (right - left)
+        support = frames[:, top:bottom, left:right].reshape(16, hw, 3)
+        many = grid._operator @ support.transpose(1, 0, 2).reshape(hw, 48)
         many = many.reshape(32, 48, 16, 3).transpose(2, 0, 1, 3)
         for i, frame in enumerate(frames):
             inside, want = _reference_warp(grid, frame)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,18 +307,19 @@ def _dense_render(renderer, poses, s_vehicles, photometry, raw):
     is the dense pass it replaced, steps 1-5 spelled out.
     """
     cam, opts = renderer.camera, renderer.options
-    batch, n_pts = len(poses), renderer._local.shape[0]
+    ground = renderer._ground
+    batch, n_pts = len(poses), ground.local.shape[0]
     road, shoulder, yellow, white = (
-        renderer._raw_albedos if raw else rmod._RGB_ALBEDOS
+        ground.raw_albedos if raw else rmod._RGB_ALBEDOS
     )
-    illum, tint, sky = renderer._photometry_constants(photometry, raw)
+    illum, tint, sky = ground.photometry_constants(photometry, raw)
     s_pt = np.empty((batch, n_pts), dtype=np.float32)
     d_pt = np.empty((batch, n_pts), dtype=np.float32)
     on_track = np.empty((batch, n_pts), dtype=bool)
     for lane, (pose, s_vehicle) in enumerate(zip(poses, s_vehicles)):
         rot = rotation_matrix(pose.heading).astype(np.float32)
         world = np.empty((n_pts, 2), dtype=np.float32)
-        np.matmul(renderer._local, rot.T, out=world)
+        np.matmul(ground.local, rot.T, out=world)
         world += pose.position().astype(np.float32)
         window = (s_vehicle - 25.0, s_vehicle + cam.max_distance + 30.0)
         s_pt[lane], d_pt[lane], on_track[lane] = renderer.track.locate_points(
@@ -338,12 +341,12 @@ def _dense_render(renderer, poses, s_vehicles, photometry, raw):
         0, len(renderer.track.segments) - 1
     )
     left_cov = RoadSceneRenderer._marking_coverage(
-        d_pt - half, s_pt, forms[seg_idx], renderer._lat_fp, renderer._fwd_fp
+        d_pt - half, s_pt, forms[seg_idx], ground.lat_fp, ground.fwd_fp
     )
     right_cov = rmod._dashed(
-        rmod._line_coverage(d_pt + half, rmod.MARK_HALF_WIDTH, renderer._lat_fp),
+        rmod._line_coverage(d_pt + half, rmod.MARK_HALF_WIDTH, ground.lat_fp),
         s_pt,
-        renderer._fwd_fp,
+        ground.fwd_fp,
     )
     left_color = np.where(colors[seg_idx][..., None] == 1, yellow, white)
     albedo += left_cov[..., None] * (left_color - albedo)
@@ -361,7 +364,7 @@ def _dense_render(renderer, poses, s_vehicles, photometry, raw):
 
     frame = np.empty((batch, cam.height * cam.width, albedo.shape[-1]), np.float32)
     frame[:] = sky
-    frame[:, renderer._vidx] = radiance
+    frame[:, ground.vidx] = radiance
     return frame.reshape((batch, cam.height, cam.width) + (() if raw else (3,)))
 
 
@@ -413,15 +416,15 @@ class TestSparseLanePaint:
         seen = []
         candidates = renderer._paint_candidates
 
-        def spy(d_pt, half):
-            mask = candidates(d_pt, half)
+        def spy(d_pt, half, ground):
+            mask = candidates(d_pt, half, ground)
             seen.append(mask)
             return mask
 
         monkeypatch.setattr(renderer, "_paint_candidates", spy)
         renderer.render_rgb(day_track.pose_at(40.0, 0.1))
         [mask] = seen
-        assert mask.shape == (1, renderer._vidx.size)
+        assert mask.shape == (1, renderer._ground.vidx.size)
         assert 0 < mask.sum() < 0.25 * mask.size
 
 
@@ -436,7 +439,7 @@ class TestFootprintCull:
         renderer = RoadSceneRenderer(
             CameraModel(width=96, height=48), dynamic_track, RenderOptions(noise=False)
         )
-        n_ground = renderer._vidx.size
+        n_ground = renderer._ground.vidx.size
         full_passes = []
         locate = TrackSegment.locate
 
@@ -452,7 +455,9 @@ class TestFootprintCull:
         culled_passes = sum(full_passes)
         full_passes.clear()
 
-        monkeypatch.setattr(renderer, "_footprint", _NO_CULL)
+        monkeypatch.setattr(
+            renderer, "_ground", dataclasses.replace(renderer._ground, footprint=_NO_CULL)
+        )
         dense = [renderer.render_raw(pose) for pose in poses]
         assert culled_passes == len(poses)
         assert sum(full_passes) == 2 * len(poses)
