@@ -25,11 +25,22 @@ sensor noise, S7 ISP and the ROI 1 warp, in ms per frame at 384x192
 and 48x24, one lane (B=1) and sixteen lanes chunked as the engine
 chunks them (B=16).  The box must be the whole frame's bytes where the
 grids read them; no timing bar is set.
+
+A fourth row is the :data:`repro.sim.renderer.AHEAD_PIXELS` table: per
+frame size, the whole-frame float32 ``standard_normal`` drawn inline
+against a ``submit().result()`` round trip to the draw-ahead worker
+(the draw included), and a B=1 loop of noisy whole-frame render, S7
+ISP, ROI 1 warp and ~0.3 ms of GIL-holding Python per frame, with the
+noise drawn inline and always drawn ahead.  A fifth row runs the same
+loop on the 384x192 sensing box, drawn inline and drawn ahead as the
+gate decides.  In both, the arms alternate round by round and must
+give the same bytes; no timing bar is set.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 
 import numpy as np
@@ -39,6 +50,7 @@ from repro.isp.pipeline import IspPipeline
 from repro.perception.bev import BevGrid, bev_grid, sensing_box
 from repro.perception.roi import ROI_PRESETS, roi_preset
 from repro.sim.camera import CameraModel
+from repro.sim import renderer as rmod
 from repro.sim.renderer import RenderOptions, RoadSceneRenderer, render_raw_batch
 from repro.sim.track import TrackSegment
 from repro.sim.world import fig7_track
@@ -288,3 +300,129 @@ def test_sensing_box_vs_frame(benchmark):
                 for stage in ("render", "isp", "warp")
             ]
             print(f"{width}x{height} B={lanes} ms/frame (frame -> box): " + "; ".join(cells))
+
+
+def _between_frames():
+    """~0.3 ms of small-array numpy calls: the GIL-holding Python work
+    (control, plant steps, orchestration) between two frames."""
+    x = np.zeros(4)
+    for _ in range(300):
+        x = x + 1.0
+    return x
+
+
+def _sense_loops(camera, track, poses, ahead_pixels, box=None):
+    """B=1 noisy renders (of *box*, or whole frames), each followed by
+    its S7 ISP, the ROI 1 warp and :func:`_between_frames`, with the
+    noise drawn inline and drawn ahead from *ahead_pixels* pixels on.
+    The two arms alternate round by round, so host drift hits both;
+    ``{arm: (RAW frames, best-of-N ms per frame: render, whole loop)}``.
+    """
+    pipeline = IspPipeline("S7")
+    grid = bev_grid(camera, ROI_PRESETS["ROI 1"])
+    gates = {"inline": sys.maxsize, "ahead": ahead_pixels}
+    renderers = {arm: RoadSceneRenderer(camera, track, seed=4) for arm in gates}
+    raws = {arm: [] for arm in gates}
+    best = {arm: [float("inf"), float("inf")] for arm in gates}
+    default = rmod.AHEAD_PIXELS
+    try:
+        for _ in range(_ROUNDS):
+            for arm, gate in gates.items():
+                rmod._settle_ahead()
+                rmod.AHEAD_PIXELS = gate
+                t_render = 0.0
+                t0 = time.perf_counter()
+                for pose in poses:
+                    t1 = time.perf_counter()
+                    raw = render_raw_batch([renderers[arm]], [pose], box=box)
+                    t_render += time.perf_counter() - t1
+                    grid.warp_batch(pipeline.process_batch(raw))
+                    _between_frames()
+                    raws[arm].append(raw)
+                t_loop = time.perf_counter() - t0
+                best[arm] = [min(best[arm][0], t_render), min(best[arm][1], t_loop)]
+    finally:
+        rmod.AHEAD_PIXELS = default
+    return {
+        arm: (np.concatenate(raws[arm]), *(1000.0 * t / len(poses) for t in best[arm]))
+        for arm in gates
+    }
+
+
+def _sector_poses(track, per_sector):
+    return [
+        track.pose_at(seg.s_start + 0.5 + 0.75 * k)
+        for seg in track.segments
+        for k in range(per_sector)
+    ]
+
+
+def test_noise_draw_ahead_crossover(benchmark):
+    track = fig7_track()
+    poses = _sector_poses(track, 2)
+    table = {}
+
+    def measure():
+        rmod._settle_ahead()  # start the worker outside the timings
+        for width, height in FRAMES:
+            shape = (height, width)
+            rng = np.random.default_rng(1)
+            ahead = rmod._draw_ahead(rng, shape).result()
+            inline = np.random.default_rng(1).standard_normal(shape, dtype=np.float32)
+            assert ahead.tobytes() == inline.tobytes(), f"{width}x{height}"
+            key = f"draw_{width}x{height}"
+            table[f"{key}_inline_us"] = round(
+                1000.0 * _best_ms(lambda: rng.standard_normal(shape, dtype=np.float32), 200)[1], 1
+            )
+            table[f"{key}_round_trip_us"] = round(
+                1000.0 * _best_ms(lambda: rmod._draw_ahead(rng, shape).result(), 200)[1], 1
+            )
+            loops = _sense_loops(CameraModel(width=width, height=height), track, poses, 0)
+            assert loops["ahead"][0].tobytes() == loops["inline"][0].tobytes(), key
+            for arm, (_, _, loop_ms) in loops.items():
+                table[f"{key}_loop_{arm}_ms"] = round(loop_ms, 3)
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["ahead_pixels"] = rmod.AHEAD_PIXELS
+    benchmark.extra_info.update(table)
+    print()
+    for width, height in FRAMES:
+        key = f"draw_{width}x{height}"
+        gate = "ahead" if width * height >= rmod.AHEAD_PIXELS else "inline"
+        print(
+            f"{width}x{height} ({gate}): draw inline {table[f'{key}_inline_us']:.1f} us, "
+            f"round trip {table[f'{key}_round_trip_us']:.1f} us; B=1 loop ms per frame, "
+            f"inline {table[f'{key}_loop_inline_ms']:.3f}, "
+            f"ahead {table[f'{key}_loop_ahead_ms']:.3f}"
+        )
+
+
+def test_noise_drawn_ahead_box_loop(benchmark):
+    track = fig7_track()
+    camera = CameraModel(width=384, height=192)
+    box = sensing_box(camera)
+    poses = _sector_poses(track, 4)
+    table = {}
+
+    def measure():
+        loops = _sense_loops(camera, track, poses, rmod.AHEAD_PIXELS, box)
+        inline, inline_render, inline_loop = loops["inline"]
+        ahead, ahead_render, ahead_loop = loops["ahead"]
+        assert ahead.tobytes() == inline.tobytes(), "drawing ahead changed a frame"
+        table.update(
+            render_inline_ms=round(inline_render, 3),
+            render_ahead_ms=round(ahead_render, 3),
+            loop_inline_ms=round(inline_loop, 3),
+            loop_ahead_ms=round(ahead_loop, 3),
+        )
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["rounds"] = _ROUNDS
+    benchmark.extra_info["frames"] = len(poses)
+    benchmark.extra_info.update(table)
+    print()
+    print(
+        "384x192 box, B=1, ms per frame (inline -> ahead): render "
+        f"{table['render_inline_ms']:.2f} -> {table['render_ahead_ms']:.2f}; "
+        f"whole loop {table['loop_inline_ms']:.2f} -> {table['loop_ahead_ms']:.2f}"
+    )

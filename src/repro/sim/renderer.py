@@ -14,6 +14,14 @@ For every frame the renderer:
 5. for a RAW frame, adds sensor noise to the RGGB Bayer plane — the
    input the :mod:`repro.isp` pipeline expects.
 
+The noise draw does not depend on the frame: each renderer consumes its
+``camera-noise`` stream in whole-frame blocks, so a frame large enough
+(:data:`AHEAD_PIXELS`) has its next block drawn on a worker thread
+while the closed loop processes the current one, the way a camera
+exposes the next frame while the ISP works on this one.  A forked
+process-pool worker draws inline: its sibling workers leave no core
+idle for a draw thread.
+
 One leading-axis kernel renders both outputs.  A RAW frame evaluates
 every pixel at the one Bayer channel it samples, so no radiance is
 computed only to be thrown away by a mosaic; an RGB frame evaluates all
@@ -32,6 +40,8 @@ skipping that stage hurts low-light situations in the reproduction.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
@@ -47,7 +57,7 @@ from repro.sim.track import Track
 from repro.utils.rng import derive_rng
 from repro.utils.scratch import ScratchCache
 
-__all__ = ["RenderOptions", "RoadSceneRenderer", "render_raw_batch"]
+__all__ = ["AHEAD_PIXELS", "RenderOptions", "RoadSceneRenderer", "render_raw_batch"]
 
 # Lane-marking geometry (metres). Widths follow common road standards.
 MARK_HALF_WIDTH = 0.075
@@ -70,6 +80,14 @@ ROAD_ALBEDO = np.array([0.21, 0.21, 0.22], dtype=np.float32)
 SHOULDER_ALBEDO = np.array([0.10, 0.20, 0.08], dtype=np.float32)
 #: (road, shoulder, yellow, white) albedos of a 3-channel RGB sample.
 _RGB_ALBEDOS = (ROAD_ALBEDO, SHOULDER_ALBEDO, YELLOW_ALBEDO, WHITE_ALBEDO)
+
+#: Smallest frame, in pixels, whose next whole-frame noise block is drawn
+#: ahead on the worker thread.  A handoff costs a submit/result round
+#: trip (~45 µs) plus the wait for the worker to get the GIL and start;
+#: in a B=1 sensing loop that outweighs the draw up to 192x96 (18,432
+#: normals, ~0.25 ms) and not at 384x192 (~1 ms).  Measured crossover;
+#: ``benchmarks/bench_sensing_stack.py`` re-derives it.
+AHEAD_PIXELS = 2**15
 
 _FORM_CODE = {LaneForm.CONTINUOUS: 0, LaneForm.DOTTED: 1, LaneForm.DOUBLE: 2}
 _COLOR_CODE = {LaneColor.WHITE: 0, LaneColor.YELLOW: 1}
@@ -101,6 +119,42 @@ class RenderOptions:
     noise: bool = True
 
 
+# The draw-ahead worker: one process-wide thread, started on first use.
+# It runs nothing but ``standard_normal`` draws, in submission order, so
+# a renderer's k-th pending block is its stream's k-th whole-frame draw.
+_AHEAD: Optional[ThreadPoolExecutor] = None
+# False in a forked child: pool workers fill every core, so a draw
+# thread there only adds its handoff and contends with a sibling.
+_DRAW_AHEAD = True
+
+
+def _draw_ahead(rng: np.random.Generator, shape: Tuple[int, int]) -> Future:
+    """Submit one float32 ``standard_normal(shape)`` draw of *rng*."""
+    global _AHEAD
+    if _AHEAD is None:
+        _AHEAD = ThreadPoolExecutor(max_workers=1, thread_name_prefix="camera-noise")
+    return _AHEAD.submit(rng.standard_normal, shape, dtype=np.float32)
+
+
+def _settle_ahead() -> None:
+    """Wait until every submitted draw is done (a no-op queued behind them).
+
+    Runs before a fork, so no generator is mid-draw in the child.
+    """
+    if _AHEAD is not None:
+        _AHEAD.submit(int).result()
+
+
+def _forget_ahead() -> None:
+    """In a forked child: the worker thread did not survive the fork, and
+    the child draws inline from now on."""
+    global _AHEAD, _DRAW_AHEAD
+    _AHEAD, _DRAW_AHEAD = None, False
+
+
+os.register_at_fork(before=_settle_ahead, after_in_child=_forget_ahead)
+
+
 class RoadSceneRenderer:
     """Render RGB / RAW road frames for a vehicle pose on a track."""
 
@@ -116,6 +170,8 @@ class RoadSceneRenderer:
         self.options = options or RenderOptions()
         self.seed = seed
         self._noise_rng = derive_rng(seed, "camera-noise")
+        # The next whole-frame block of that stream, drawn ahead.
+        self._ahead: Optional[Future] = None
         # Pose-independent sample tables of the whole frame, shared by
         # every renderer of this camera; per-segment appearance tables
         # depend on the track and are built here once.
@@ -177,17 +233,50 @@ class RoadSceneRenderer:
         box: Optional[PixelBox] = None,
     ) -> np.ndarray:
         """One whole-frame draw from this renderer's ``camera-noise``
-        stream, if enabled; *raw* is the frame's crop to *box*."""
+        stream, if enabled; *raw* is the frame's crop to *box*.
+
+        Takes the block drawn ahead (or draws it here) and, for a frame
+        of at least :data:`AHEAD_PIXELS` outside a forked child, submits
+        the next draw at once.
+        """
         if not self.options.noise:
             return raw
+        frame_shape = (self.camera.height, self.camera.width)
+        normals = self._take_normals()
+        if _DRAW_AHEAD and frame_shape[0] * frame_shape[1] >= AHEAD_PIXELS:
+            self._ahead = _draw_ahead(self._noise_rng, frame_shape)
         return add_sensor_noise(
             raw,
             self._noise_rng,
             photometry.read_noise,
             photometry.shot_noise,
-            frame_shape=(self.camera.height, self.camera.width),
+            frame_shape=frame_shape,
             origin=(0, 0) if box is None else box[:2],
+            normals=normals,
         )
+
+    def _take_normals(self) -> np.ndarray:
+        """The stream's next whole-frame float32 block: the one drawn
+        ahead (waiting for it if need be), else drawn here."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None:
+            return ahead.result()
+        shape = (self.camera.height, self.camera.width)
+        return self._noise_rng.standard_normal(shape, dtype=np.float32)
+
+    def __getstate__(self) -> dict:
+        # A pickled or copied renderer carries its pending block (settled
+        # and copied: the block is consumed in place) and resumes its
+        # stream exactly where this one does.
+        state = dict(self.__dict__)
+        state["_ahead"] = None if self._ahead is None else self._ahead.result().copy()
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _ahead=None)
+        if state["_ahead"] is not None:
+            self._ahead = Future()
+            self._ahead.set_result(state["_ahead"])
 
     def _build_segment_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-segment (s_start, lane-form code, lane-color code) arrays."""
@@ -416,9 +505,11 @@ class _GroundSamples:
     #: 0 half a footprint out, so the margin is safe against rounding.
     left_reach: np.ndarray
     right_reach: np.ndarray
-    #: Corners of the local ground box: every frame's ground points lie
-    #: inside their pose image, which lets ``locate_points`` skip the
-    #: segments that cannot claim any of them.
+    #: Corners of the local ground wedge: forward distance and
+    #: lateral/forward slope each between their extremes over ``local``
+    #: (every ground point is ahead, forward > 0).  Every frame's ground
+    #: points lie inside their pose image, which lets ``locate_points``
+    #: skip the segments that cannot claim any of them.
     footprint: np.ndarray
     #: The Bayer channel each pixel (``bayer_sky``, ``(h*w, 1)``) and
     #: each ground sample (``bayer_ground``, ``(N, 1)``) samples, as a
@@ -433,9 +524,10 @@ class _GroundSamples:
     def build(cls, shape, vidx, fwd, lateral, lat_fp, fwd_fp, bayer) -> "_GroundSamples":
         """Tables of the samples *vidx* with the given per-sample values."""
         local = np.stack([fwd, lateral], axis=-1)
-        f, y = local.T if vidx.size else np.zeros((2, 1))
+        f, y = local.T.astype(float) if vidx.size else np.ones((2, 1))
+        slope = y / f
         footprint = np.array(
-            [[a, b] for a in (f.min(), f.max()) for b in (y.min(), y.max())], dtype=float
+            [[a, b * a] for a in (f.min(), f.max()) for b in (slope.min(), slope.max())]
         )
         bayer_sky = bayer.reshape(-1, 1)
         bayer_ground = bayer_sky[vidx]

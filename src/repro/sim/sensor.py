@@ -62,6 +62,7 @@ def add_sensor_noise(
     shot_noise: float,
     frame_shape: Optional[Tuple[int, int]] = None,
     origin: Tuple[int, int] = (0, 0),
+    normals: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Add read (Gaussian) and shot (signal-dependent) noise, clip to [0, 1].
 
@@ -73,17 +74,30 @@ def add_sensor_noise(
     standard normals are still drawn for the whole frame, so *rng*
     advances the same whatever part of the frame is sensed, and the
     crop gets the same noise as those pixels of the whole frame.
+
+    *normals*, when given, is that whole-frame block already drawn
+    (``rng.standard_normal(frame_shape, dtype)`` with the RAW dtype:
+    float32 or float64 as *raw*, else float64); *rng* is then not drawn
+    from.  The block is consumed: the noisy frame is written into it.
     """
     if read_noise < 0 or shot_noise < 0:
         raise ValueError("noise levels must be non-negative")
+    shape = frame_shape or raw.shape
+    dtype = raw.dtype if raw.dtype in (np.float32, np.float64) else np.float64
+    if normals is None:
+        normals = rng.standard_normal(shape, dtype=dtype)
+    elif normals.shape != tuple(shape) or normals.dtype != dtype:
+        raise ValueError(
+            f"normals must be a {tuple(shape)} {np.dtype(dtype)} block, "
+            f"got {normals.shape} {normals.dtype}"
+        )
     signal = np.clip(raw, 0.0, None)
     # sigma = sqrt(read² + shot²·signal) and signal + sigma·z, in place:
     # the same commutative ops, so the same bits with fewer temporaries.
     sigma = signal * shot_noise**2
     sigma += read_noise**2
     np.sqrt(sigma, out=sigma)
-    dtype = raw.dtype if raw.dtype in (np.float32, np.float64) else np.float64
-    noisy = rng.standard_normal(frame_shape or raw.shape, dtype=dtype)
+    noisy = normals
     if frame_shape is not None:
         top, left = origin
         noisy = noisy[top : top + raw.shape[0], left : left + raw.shape[1]]

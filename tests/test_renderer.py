@@ -463,3 +463,68 @@ class TestFootprintCull:
         assert sum(full_passes) == 2 * len(poses)
         for a, b in zip(culled, dense):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("size", [(384, 192), (96, 48), (47, 23)])
+    def test_footprint_is_a_tight_wedge_holding_the_ground_points(self, size):
+        """Every ground point lies inside the four corners (or on an
+        edge), whose area is within 5% of the points' own convex hull,
+        for the whole frame and the sensing box."""
+        from scipy.spatial import ConvexHull
+
+        from repro.perception.bev import sensing_box
+
+        camera = CameraModel(width=size[0], height=size[1])
+        for box in (None, sensing_box(camera)):
+            ground = rmod._ground_samples(camera, box)
+            assert ground.footprint.shape == (4, 2)
+            wedge = ConvexHull(ground.footprint)
+            corners = ground.footprint[wedge.vertices]
+            pts = ground.local.astype(float)
+            for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+                edge, rel = b - a, pts - a
+                cross = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
+                assert cross.min() >= -1e-9 * np.abs(pts).max() ** 2, (box, a, b)
+            assert wedge.volume <= 1.05 * ConvexHull(pts).volume, box
+
+    def test_arc_entries_keep_the_previous_straight_culled(self, dynamic_track, monkeypatch):
+        """5, 10 and 20 m into the Fig. 7 arcs of sectors 2 and 4 at
+        384x192: the local ground *box* rotated into the arc reaches back
+        behind the previous straight's end line, so that straight ran a
+        full pass claiming nothing; the wedge keeps it culled, in the whole
+        frame and in the sensing box, with the same frame bytes."""
+        from repro.perception.bev import sensing_box
+
+        camera = CameraModel(width=384, height=192)
+        renderer = RoadSceneRenderer(camera, dynamic_track, RenderOptions(noise=False))
+        segments = dynamic_track.segments
+        passes = []
+        locate = TrackSegment.locate
+
+        def spy(seg, pts):
+            passes.append(segments.index(seg))
+            return locate(seg, pts)
+
+        monkeypatch.setattr(TrackSegment, "locate", spy)
+
+        def bounding_box(ground):
+            f, y = ground.local.T
+            return np.array([[a, b] for a in (f.min(), f.max()) for b in (y.min(), y.max())])
+
+        for box in (None, sensing_box(camera)):
+            ground = rmod._ground_samples(camera, box)
+            loose = dataclasses.replace(ground, footprint=bounding_box(ground))
+            for sector in (1, 3):
+                for ahead in (5.0, 10.0, 20.0):
+                    s = segments[sector].s_start + ahead
+                    args = ([dynamic_track.pose_at(s)], [s], photometry_for(Scene.DAY))
+                    passes.clear()
+                    tight = renderer._render(*args, box=box)
+                    assert sector - 1 not in passes, (box, sector, ahead)
+                    passes.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(rmod, "_ground_samples", lambda *_: loose)
+                        m.setattr(renderer, "_ground", loose)
+                        want = renderer._render(*args, box=box)
+                    if box is None:
+                        assert sector - 1 in passes, (sector, ahead)
+                    assert tight.tobytes() == want.tobytes(), (box, sector, ahead)

@@ -98,7 +98,8 @@ class TestBoxRender:
     @pytest.mark.parametrize("noise", [False, True])
     def test_box_render_is_the_crop_of_the_frame(self, size, noise, dynamic_track):
         """Every Fig. 7 sector under every scene; with noise on, the
-        ``camera-noise`` stream ends where a whole-frame render leaves it."""
+        ``camera-noise`` stream ends where a whole-frame render leaves it
+        and hands out the same next block."""
         camera = _camera(size)
         box = sensing_box(camera)
         poses = _tour_poses(dynamic_track)
@@ -110,6 +111,9 @@ class TestBoxRender:
             want = render_raw_batch([whole] * len(poses), poses, scenes)
             got = render_raw_batch([boxed] * len(poses), poses, scenes, box=box)
             assert got.tobytes() == np.ascontiguousarray(_in_box(want, box)).tobytes(), scene
+            # Taking the next block settles a draw in flight on the
+            # draw-ahead worker before the states are read.
+            assert boxed._take_normals().tobytes() == whole._take_normals().tobytes()
             assert (
                 boxed._noise_rng.bit_generator.state == whole._noise_rng.bit_generator.state
             )
