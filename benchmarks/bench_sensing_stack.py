@@ -35,6 +35,16 @@ noise drawn inline and always drawn ahead.  A fifth row runs the same
 loop on the 384x192 sensing box, drawn inline and drawn ahead as the
 gate decides.  In both, the arms alternate round by round and must
 give the same bytes; no timing bar is set.
+
+A sixth row times the dynamic threshold on 96x128 BEVs of sixteen
+Fig. 7 poses (384x192, S7 ISP, ROI 1, a grid wholly inside the frame):
+an inline copy of the formulation it replaced (NaN medians with
+per-row gathers and ``ndimage.convolve``, one call over the stack)
+against :func:`dynamic_threshold` (sorted rows, integer neighbour
+counts, one lane at a time), at B=1 and B=16; at B=16 also the new
+kernel run once over the stack.  The arms alternate
+round by round and must give the same mask bytes; no timing bar is
+set.
 """
 
 from __future__ import annotations
@@ -44,11 +54,18 @@ import sys
 import time
 
 import numpy as np
+from scipy import ndimage
 
 from repro.hil.batch import STACK_PIXELS, _stack_chunks
 from repro.isp.pipeline import IspPipeline
 from repro.perception.bev import BevGrid, bev_grid, sensing_box
 from repro.perception.roi import ROI_PRESETS, roi_preset
+from repro.perception.threshold import (
+    ThresholdParams,
+    _row_median,
+    brightness_channels,
+    dynamic_threshold,
+)
 from repro.sim.camera import CameraModel
 from repro.sim import renderer as rmod
 from repro.sim.renderer import RenderOptions, RoadSceneRenderer, render_raw_batch
@@ -426,3 +443,107 @@ def test_noise_drawn_ahead_box_loop(benchmark):
         f"{table['render_inline_ms']:.2f} -> {table['render_ahead_ms']:.2f}; "
         f"whole loop {table['loop_inline_ms']:.2f} -> {table['loop_ahead_ms']:.2f}"
     )
+
+
+def _nan_threshold(bev_rgb, params, valid):
+    """The threshold as it was: NaN row medians (one sort, two per-row
+    gathers) over the whole ``(B, H, W)`` stack, then
+    ``ndimage.convolve`` for the neighbour count."""
+
+    def nanmedian(stack, n):
+        order = np.sort(stack, axis=-1)
+        lo = np.maximum((n - 1) // 2, 0)
+        hi = np.where(n > 0, n // 2, 0)
+        return (
+            np.take_along_axis(order, lo, axis=-1)
+            + np.take_along_axis(order, hi, axis=-1)
+        ) / 2
+
+    def robust_mask(channel, z_threshold):
+        masked = np.where(valid, channel, np.nan)
+        n = channel.shape[-1] - np.count_nonzero(np.isnan(masked), axis=-1, keepdims=True)
+        median = nanmedian(masked, n)
+        mad = nanmedian(np.abs(masked - median), n)
+        scale = np.maximum(1.4826 * np.nan_to_num(mad), params.min_scale)
+        return ((channel - np.nan_to_num(median)) / scale > z_threshold) & valid
+
+    white, yellow = brightness_channels(bev_rgb)
+    mask = (robust_mask(white, params.z_white) & (white > params.min_brightness)) | (
+        robust_mask(yellow, params.z_yellow)
+        & (np.maximum(bev_rgb[..., 0], bev_rgb[..., 1]) > params.min_brightness)
+    )
+    if params.min_neighbours > 0 and mask.any():
+        kernel = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)
+        kernel = kernel if mask.ndim == 2 else kernel[None]
+        neighbours = ndimage.convolve(mask.astype(np.uint8), kernel, mode="constant")
+        mask &= neighbours >= params.min_neighbours
+    return mask
+
+
+def _sorted_stacked(bevs, params):
+    """:func:`dynamic_threshold`'s kernel run once over the whole
+    ``(B, H, W, 3)`` stack of a grid wholly inside the frame."""
+
+    def robust_mask(channel, z_threshold):
+        median = _row_median(channel)
+        scale = np.maximum(1.4826 * _row_median(np.abs(channel - median)), params.min_scale)
+        return (channel - median) / scale > z_threshold
+
+    white, yellow = brightness_channels(bevs)
+    mask = (robust_mask(white, params.z_white) & (white > params.min_brightness)) | (
+        robust_mask(yellow, params.z_yellow)
+        & (np.maximum(bevs[..., 0], bevs[..., 1]) > params.min_brightness)
+    )
+    padded = np.pad(mask.astype(np.uint8), ((0, 0), (1, 1), (1, 1)))
+    rows = padded[..., :-2] + padded[..., 1:-1] + padded[..., 2:]
+    neighbours = rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:] - padded[:, 1:-1, 1:-1]
+    return mask & (neighbours >= params.min_neighbours)
+
+
+def test_threshold_sorted_rows_per_lane(benchmark):
+    track = fig7_track()
+    camera = CameraModel(width=384, height=192)
+    grid = bev_grid(camera, ROI_PRESETS["ROI 1"])
+    renderer = RoadSceneRenderer(camera, track, seed=4)
+    pipeline = IspPipeline("S7")
+    poses = _sector_poses(track, 2)[:LANES]
+    bevs = np.concatenate(
+        [grid.warp_batch(pipeline.process_batch(renderer.render_raw(p)[None])) for p in poses]
+    )
+    params = ThresholdParams()
+    table = {}
+
+    def measure():
+        for lanes, rounds in ((1, 50), (LANES, 10)):
+            stack = bevs[0] if lanes == 1 else bevs
+            arms = {
+                "nan_stacked": lambda: _nan_threshold(stack, params, grid.inside),
+                "sorted_per_lane": lambda: dynamic_threshold(stack, params, valid=grid.inside),
+            }
+            if lanes > 1:
+                arms["sorted_stacked"] = lambda: _sorted_stacked(stack, params)
+            best = dict.fromkeys(arms, float("inf"))
+            masks = {}
+            for _ in range(rounds):
+                for arm, fn in arms.items():
+                    masks[arm], ms = _best_ms(fn, 1)
+                    best[arm] = min(best[arm], ms)
+            assert masks["sorted_per_lane"].any()
+            for arm, mask in masks.items():
+                assert mask.tobytes() == masks["nan_stacked"].tobytes(), (
+                    f"B={lanes}: {arm} differs"
+                )
+            for arm, ms in best.items():
+                table[f"threshold_b{lanes}_{arm}_ms"] = round(ms, 3)
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["grid_inside"] = bool(grid.inside.all())
+    benchmark.extra_info.update(table)
+    print()
+    for lanes in (1, LANES):
+        cells = [
+            f"{arm} {table[key]:.3f}"
+            for arm in ("nan_stacked", "sorted_stacked", "sorted_per_lane")
+            if (key := f"threshold_b{lanes}_{arm}_ms") in table
+        ]
+        print(f"threshold 96x128 B={lanes}, ms per call: " + ", ".join(cells))

@@ -19,9 +19,9 @@ pays:
 - **classifier** — each lane calls its own identifier on its own frame
   (:meth:`repro.hil.engine.HilEngine._cycle_classify`); a CNN forward
   is dominated by its per-row GEMMs, so stacking lanes gains little;
-- **perception** — lanes sharing (camera, ROI, threshold params) warp
-  one frame per csr product into one BEV stack and share one dynamic
-  threshold over it (:func:`repro.perception.pipeline.process_batch`).
+- **perception** — each lane warps its frame (one csr product) and
+  thresholds its own BEV, whose channels stay in cache
+  (:func:`repro.perception.pipeline.process_batch`).
 
 Render and ISP are frame-sized and memory-bound: a stack only pays
 while it stays in cache.  They stack at most :data:`STACK_PIXELS`
@@ -512,7 +512,7 @@ class BatchedHilEngine:
         due: List[_Lane],
         rgbs: Dict[int, np.ndarray],
     ) -> Dict[int, PerceptionResult]:
-        """Batched warp+threshold, per-lane windows/fit, dropout faults."""
+        """Per-lane warp, threshold, windows and fit, then dropout faults."""
         measurements: Dict[int, PerceptionResult] = {}
         members = sorted(rgbs)
         if members:

@@ -18,7 +18,7 @@ center (so the controller steers right).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -142,8 +142,7 @@ class PerceptionPipeline:
     def _finish_mask(self, mask: np.ndarray, grid: BevGrid) -> PerceptionResult:
         """Sliding windows + fit + hint bookkeeping on a threshold mask.
 
-        The per-lane tail of :func:`process_batch`, which computes the
-        masks of a whole lane group in one call.
+        The per-lane tail of :func:`process_batch`.
         """
         hints = self._hints if self.temporal_tracking else None
         with profile("pr.window"):
@@ -207,34 +206,24 @@ def process_batch(
     pipelines: Sequence[PerceptionPipeline],
     frames: Sequence[np.ndarray],
 ) -> List[PerceptionResult]:
-    """Run one frame through each pipeline with batched warp+threshold.
+    """Run one frame through each pipeline, lane by lane.
 
-    Lanes are grouped by (camera, active ROI, BEV shape, threshold
-    params).  Each lane's frame is warped on its own, one csr product
-    straight into the group's BEV stack (a stack of camera frames would
-    only add a copy); the stacked BEVs go through one batched
-    :func:`dynamic_threshold` call, which does gain from stacking, then
-    every lane finishes (sliding windows, fit, temporal hints) on its
-    own pipeline state.  Results are returned in lane
-    order, each independent of the other lanes in the call;
-    :meth:`PerceptionPipeline.process` is the call with one lane.
+    Each lane's frame is warped (one csr product) and thresholded on its
+    own, so its BEV and channels stay in cache: the warp and the
+    threshold gain nothing from a stack of lanes (DESIGN.md section 5).
+    Then every lane finishes (sliding windows, fit, temporal hints) on
+    its own pipeline state; running the finishes back to back, after
+    all thresholds, measured faster than interleaving them.  Results
+    are returned in lane order, each independent of the other lanes in
+    the call; :meth:`PerceptionPipeline.process` is the call with one
+    lane.
     """
-    n_lanes = len(pipelines)
-    results: List[PerceptionResult] = [None] * n_lanes  # type: ignore[list-item]
-    groups: Dict[tuple, List[int]] = {}
-    for lane, pipe in enumerate(pipelines):
-        key = (pipe.camera, pipe.roi.name, pipe._bev_shape, pipe.threshold_params)
-        groups.setdefault(key, []).append(lane)
-    for lanes in groups.values():
-        lead = pipelines[lanes[0]]
-        grid = lead._grid()
-        bev = np.empty((len(lanes), grid.n_rows, grid.n_cols, 3), dtype=np.float32)
-        for j, i in enumerate(lanes):
-            with profile("pr.warp"):
-                grid.warp_batch(frames[i][None], out=bev[j : j + 1])
-        with profile("pr.threshold", count=len(lanes)):
-            masks = dynamic_threshold(bev, lead.threshold_params, valid=grid.inside)
-        for j, i in enumerate(lanes):
-            pipe = pipelines[i]
-            results[i] = pipe._finish_mask(masks[j], pipe._grid())
-    return results
+    masks = []
+    for pipe, frame in zip(pipelines, frames):
+        grid = pipe._grid()
+        with profile("pr.warp"):
+            bev = grid.warp_batch(frame[None])[0]
+        with profile("pr.threshold"):
+            mask = dynamic_threshold(bev, pipe.threshold_params, valid=grid.inside)
+        masks.append(mask)
+    return [pipe._finish_mask(m, pipe._grid()) for pipe, m in zip(pipelines, masks)]

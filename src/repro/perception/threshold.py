@@ -12,8 +12,9 @@ positive deviation regardless of the ISP configuration's output domain
 - *yellowness* = min(R, G) - B - 2 max(0, G - R): high for yellow paint
   (R >= G >> B), negative for green vegetation (G > R).
 
-A final contiguity filter drops mask pixels with fewer than two
-8-neighbours, which removes the salt noise that aggressive tone-map
+A final contiguity filter drops mask pixels with fewer than
+``min_neighbours`` 8-neighbours (an integer count over a zero-padded
+uint8 mask), which removes the salt noise that aggressive tone-map
 gains produce in night/dark frames.
 
 The absolute floor ``min_brightness`` is what low-light frames without
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["ThresholdParams", "dynamic_threshold", "brightness_channels"]
 
@@ -79,15 +79,30 @@ def brightness_channels(bev_rgb: np.ndarray) -> tuple:
     return white, yellow
 
 
+def _row_median(rows: np.ndarray) -> np.ndarray:
+    """Median over the last axis of NaN-free *rows*, ``keepdims`` style.
+
+    One ``np.sort`` and the two fixed middle slices; every row has the
+    same count, so no per-row gather is needed.  Equal to ``np.median``
+    and to :func:`_nanmedian_cols` bit for bit: the median is an order
+    statistic, and the mean of the two middles is the same ``(a + b) /
+    2`` in the input dtype (``(a + a) / 2 == a`` at odd widths).
+    """
+    order = np.sort(rows, axis=-1)
+    width = rows.shape[-1]
+    lo, hi = (width - 1) // 2, width // 2
+    return (order[..., lo : lo + 1] + order[..., hi : hi + 1]) / 2
+
+
 def _nanmedian_cols(stack: np.ndarray, n: "np.ndarray | None" = None) -> np.ndarray:
     """NaN-aware median over the last axis, ``keepdims`` style.
 
     Hand-vectorized replacement for ``np.nanmedian(stack, axis=-1,
-    keepdims=True)`` on ``(H, W)`` channels and stacked ``(B, H, W)``
-    batches alike: one ``np.sort`` (NaNs order last) plus two gathers,
-    instead of numpy's masked-array machinery whose per-element
-    constants dominate the threshold's profile.  Bit-identical because the median is either the middle
-    order statistic exactly (``(a + a) / 2 == a``) or the same
+    keepdims=True)``: one ``np.sort`` (NaNs order last) plus two
+    gathers, instead of numpy's masked-array machinery whose
+    per-element constants dominate the threshold's profile.
+    Bit-identical because the median is either the middle order
+    statistic exactly (``(a + a) / 2 == a``) or the same
     mean-of-two-middles numpy computes, in the input dtype.
 
     *n* optionally supplies the per-row count of non-NaN entries
@@ -116,10 +131,12 @@ def _robust_mask(
     # Per-row statistics: each BEV row is one ground distance, so this
     # adapts to radial illumination gradients (headlight falloff) that
     # would fool a single global threshold.  Cells outside the camera
-    # frame (warp zeros) are excluded from the statistics.  The last
-    # axis is the column axis for both a single (H, W) channel and a
-    # stacked (B, H, W) batch, so one reduction serves both.
-    if valid is not None:
+    # frame (warp zeros) are excluded from the statistics; that NaN
+    # path runs only for a grid that lies partly outside the frame.
+    if valid is None:
+        median = _row_median(channel)
+        mad = _row_median(np.abs(channel - median))
+    else:
         masked = np.where(valid, channel, np.nan)
         # |masked - median| keeps NaNs exactly where masked has them
         # (an all-NaN row stays all-NaN), so one count serves both
@@ -131,9 +148,6 @@ def _robust_mask(
         mad = _nanmedian_cols(np.abs(masked - median), n)
         median = np.nan_to_num(median)
         mad = np.nan_to_num(mad)
-    else:
-        median = np.median(channel, axis=-1, keepdims=True)
-        mad = np.median(np.abs(channel - median), axis=-1, keepdims=True)
     scale = np.maximum(1.4826 * mad, params.min_scale)
     mask = (channel - median) / scale > z_threshold
     if valid is not None:
@@ -141,7 +155,20 @@ def _robust_mask(
     return mask
 
 
-_NEIGHBOUR_KERNEL = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)
+def _neighbour_count(mask: np.ndarray) -> np.ndarray:
+    """Count each ``(H, W)`` mask pixel's set 8-neighbours (uint8).
+
+    The 3x3 box sum of the zero-padded mask, taken as a row of three
+    shifted adds and then a column of three, minus the centre: the
+    ``ndimage.convolve(mask, [[1, 1, 1], [1, 0, 1], [1, 1, 1]],
+    mode="constant")`` count exactly, since every sum is a small
+    integer (at most 9).
+    """
+    height, width = mask.shape
+    padded = np.zeros((height + 2, width + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = mask
+    rows = padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:]
+    return rows[:-2] + rows[1:-1] + rows[2:] - padded[1:-1, 1:-1]
 
 
 def dynamic_threshold(
@@ -154,15 +181,25 @@ def dynamic_threshold(
     *valid* optionally marks BEV cells whose ground point projects
     inside the camera frame; cells outside are excluded from both the
     row statistics and the mask (wide windows clip at the image edges).
+    An all-True *valid* (a grid wholly inside the frame, as every grid
+    the closed loop builds) is the same as none: each row is sorted
+    once and its fixed middle slices give the median and the MAD.
 
-    Accepts a stacked ``(B, H, W, 3)`` batch as well (shared *valid*
-    broadcasts over lanes); per-lane masks are bit-identical to calling
-    this per frame — the row statistics reduce over each lane's own
-    columns and the contiguity kernel never crosses the batch axis.  A
-    lane whose mask is empty is unaffected by the other lanes keeping
-    the contiguity convolution alive: zero neighbours never reach
-    ``min_neighbours``.
+    Accepts a stacked ``(B, H, W, 3)`` batch as well, with a *valid*
+    that broadcasts over it; each lane is thresholded on its own, so a
+    lane's channels stay in cache and its mask is bit for bit the call
+    on that lane alone.
     """
+    if valid is not None and valid.all():
+        valid = None
+    if bev_rgb.ndim == 4:
+        if valid is not None:
+            valid = np.broadcast_to(valid, bev_rgb.shape[:-1])
+        mask = np.empty(bev_rgb.shape[:-1], dtype=bool)
+        for j, lane in enumerate(bev_rgb):
+            lane_valid = None if valid is None else valid[j]
+            mask[j] = dynamic_threshold(lane, params, lane_valid)
+        return mask
     white, yellow = brightness_channels(bev_rgb)
     mask_white = _robust_mask(white, params.z_white, params, valid) & (
         white > params.min_brightness
@@ -172,9 +209,5 @@ def dynamic_threshold(
     )
     mask = mask_white | mask_yellow
     if params.min_neighbours > 0 and mask.any():
-        kernel = _NEIGHBOUR_KERNEL if mask.ndim == 2 else _NEIGHBOUR_KERNEL[None]
-        neighbours = ndimage.convolve(
-            mask.astype(np.uint8), kernel, mode="constant"
-        )
-        mask &= neighbours >= params.min_neighbours
+        mask &= _neighbour_count(mask) >= params.min_neighbours
     return mask

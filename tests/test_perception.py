@@ -445,7 +445,8 @@ class TestPerceptionPipeline:
 
 
 def _reference_threshold(bev_rgb, params, valid):
-    """:func:`dynamic_threshold` with ``np.nanmedian`` row statistics."""
+    """:func:`dynamic_threshold` with ``np.nanmedian`` row statistics
+    (``np.median`` ones when *valid* is ``None``)."""
     import warnings
 
     from scipy import ndimage
@@ -453,6 +454,11 @@ def _reference_threshold(bev_rgb, params, valid):
     from repro.perception.threshold import brightness_channels
 
     def robust_mask(channel, z_threshold):
+        if valid is None:
+            median = np.median(channel, axis=-1, keepdims=True)
+            mad = np.median(np.abs(channel - median), axis=-1, keepdims=True)
+            scale = np.maximum(1.4826 * mad, params.min_scale)
+            return (channel - median) / scale > z_threshold
         masked = np.where(valid, channel, np.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -567,6 +573,30 @@ class TestBatchedKernels:
             serial = dynamic_threshold(bev[i], valid=grid.inside)
             assert np.array_equal(batched[i], serial)
 
+    def test_sixteen_lane_threshold_stack_is_per_lane(
+        self, small_camera, day_track, rng
+    ):
+        """A 16-lane stack at 96x128 equals its per-lane calls and the
+        ``np.nanmedian`` reference, on the sorted-row and NaN routes."""
+        frames = self._frames(small_camera, day_track, n=8)
+        grid = BevGrid(small_camera, roi_preset("ROI 1"), n_rows=96, n_cols=128)
+        noise = rng.random((8, 96, 128, 3), dtype=np.float32)
+        bevs = np.concatenate([grid.warp_batch(frames), noise])
+        everywhere = np.ones((96, 128), dtype=bool)
+        partial = everywhere.copy()
+        partial[:, :10] = False
+        partial[40] = False
+        for valid in (None, everywhere, grid.inside, partial):
+            stacked = dynamic_threshold(bevs, valid=valid)
+            assert stacked.shape == (16, 96, 128)
+            assert stacked[:8].any()
+            want = everywhere if valid is None else valid
+            for lane, bev in zip(stacked, bevs):
+                assert np.array_equal(lane, dynamic_threshold(bev, valid=valid))
+                assert np.array_equal(
+                    lane, _reference_threshold(bev, ThresholdParams(), want)
+                )
+
     def test_pipeline_process_batch_bitwise(self, small_camera, day_track):
         from repro.perception.pipeline import process_batch
 
@@ -578,3 +608,96 @@ class TestBatchedKernels:
             assert got.valid == want.valid
             if want.valid:
                 assert got.y_l == want.y_l
+
+
+class TestThresholdKernel:
+    """The sorted-row median route and the integer neighbour count equal
+    the formulations they replace, bit for bit."""
+
+    PARAMS = (
+        ThresholdParams(),
+        ThresholdParams(min_neighbours=0),
+        ThresholdParams(min_neighbours=1, min_scale=0.05),
+    )
+
+    @staticmethod
+    def _bevs(rng, height, width):
+        """Noise, tied values (four levels) and flat rows (MAD 0, so
+        ``min_scale`` sets the scale), each with a white and a yellow
+        paint column."""
+        noise = rng.random((height, width, 3), dtype=np.float32)
+        tied = np.round(noise * 4) / np.float32(4)
+        flat = noise.copy()
+        flat[::2] = 0.3
+        bevs = [noise, tied, flat]
+        for bev in bevs:
+            bev[:, width // 3] = 0.95
+            bev[:, 2 * width // 3] = (0.9, 0.8, 0.1)
+        return bevs
+
+    def test_row_median_equals_numpy(self, rng):
+        import warnings
+
+        from repro.perception.threshold import _nanmedian_cols, _row_median
+
+        for height, width in ((5, 7), (6, 8), (12, 31), (96, 128)):
+            for bev in self._bevs(rng, height, width):
+                rows = bev[..., 0]
+                got = _row_median(rows)
+                assert got.dtype == rows.dtype
+                assert got.tobytes() == np.median(rows, axis=-1, keepdims=True).tobytes()
+                assert got.tobytes() == _nanmedian_cols(rows).tobytes()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    want = np.nanmedian(rows, axis=-1, keepdims=True)
+                assert got.tobytes() == want.tobytes()
+
+    def test_sorted_route_equals_median_references(self, rng):
+        """``valid`` None, all-True and partial against ``np.median`` and
+        ``np.nanmedian``, at odd and even widths."""
+        for height, width in ((5, 7), (6, 8), (12, 31), (96, 128)):
+            everywhere = np.ones((height, width), dtype=bool)
+            partial = rng.random((height, width)) < 0.8
+            partial[1] = False  # an all-NaN row
+            hits = 0
+            for bev in self._bevs(rng, height, width):
+                for params in self.PARAMS:
+                    got = dynamic_threshold(bev, params)
+                    hits += int(got.any())
+                    assert np.array_equal(got, _reference_threshold(bev, params, None))
+                    assert np.array_equal(
+                        got, _reference_threshold(bev, params, everywhere)
+                    )
+                    assert np.array_equal(
+                        dynamic_threshold(bev, params, valid=everywhere), got
+                    )
+                    assert np.array_equal(
+                        dynamic_threshold(bev, params, valid=partial),
+                        _reference_threshold(bev, params, partial),
+                    )
+            assert hits > 0
+
+    def test_flat_frame_uses_min_scale(self):
+        """A flat row has MAD 0: only ``min_scale`` separates paint."""
+        bev = np.full((8, 16, 3), 0.3, dtype=np.float32)
+        bev[:, 5:7] = 0.3 + 4.0 * 0.012 * 1.01
+        params = ThresholdParams(min_neighbours=0)
+        got = dynamic_threshold(bev, params)
+        assert got[:, 5:7].all() and got.sum() == 16
+        assert np.array_equal(got, _reference_threshold(bev, params, None))
+        bev[:, 5:7] = 0.3 + 4.0 * 0.012 * 0.99
+        assert not dynamic_threshold(bev, params).any()
+
+    def test_neighbour_count_equals_convolve(self, rng):
+        from scipy import ndimage
+
+        from repro.perception.threshold import _neighbour_count
+
+        kernel = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)
+        for shape in ((1, 1), (1, 9), (9, 1), (2, 2), (3, 5), (17, 23), (96, 128)):
+            for density in (0.0, 0.3, 0.7, 1.0):
+                mask = rng.random(shape) < density
+                got = _neighbour_count(mask)
+                want = ndimage.convolve(mask.astype(np.uint8), kernel, mode="constant")
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, want), (shape, density)

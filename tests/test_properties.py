@@ -14,6 +14,7 @@ from repro.platform.schedule import period_for_delay, pipeline_timing
 from repro.sim.geometry import Pose2D
 from repro.sim.track import SectorSpec, Track
 from repro.utils.rng import derive_rng
+from tests.test_perception import _reference_threshold
 
 SIT = situation_by_index(1)
 
@@ -47,6 +48,55 @@ class TestThresholdProperties:
         scaled = dynamic_threshold(np.clip(bev * gain, 0, 1))
         agreement = (base == scaled).mean()
         assert agreement > 0.97
+
+    @given(
+        st.integers(min_value=1, max_value=24),    # height
+        st.integers(min_value=1, max_value=40),    # width
+        st.integers(min_value=0, max_value=8),     # tie levels (0: none)
+        st.sampled_from(["none", "all", "partial"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_rows_equal_nanmedian_reference(
+        self, height, width, levels, valid_mode, seed
+    ):
+        """Every route of the threshold equals the ``np.nanmedian`` (and,
+        without *valid*, the ``np.median``) formulation bit for bit."""
+        rng = np.random.default_rng(seed)
+        bev = rng.random((height, width, 3), dtype=np.float32)
+        if levels:
+            bev = np.round(bev * levels) / np.float32(levels)
+        valid = {
+            "none": None,
+            "all": np.ones((height, width), dtype=bool),
+            "partial": rng.random((height, width)) < 0.7,
+        }[valid_mode]
+        for params in (ThresholdParams(), ThresholdParams(min_neighbours=0)):
+            got = dynamic_threshold(bev, params, valid=valid)
+            everywhere = np.ones((height, width), dtype=bool)
+            want = _reference_threshold(
+                bev, params, everywhere if valid is None else valid
+            )
+            assert np.array_equal(got, want)
+            if valid is None:
+                assert np.array_equal(got, _reference_threshold(bev, params, None))
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_neighbour_count_equals_convolution(self, height, width, density, seed):
+        from scipy import ndimage
+
+        from repro.perception.threshold import _neighbour_count
+
+        mask = np.random.default_rng(seed).random((height, width)) < density
+        kernel = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)
+        want = ndimage.convolve(mask.astype(np.uint8), kernel, mode="constant")
+        assert np.array_equal(_neighbour_count(mask), want)
 
     def test_mask_subset_of_valid(self):
         rng = derive_rng(6, "thr2")
