@@ -16,19 +16,17 @@ Subpackages
 - :mod:`repro.experiments` — regeneration of every paper table/figure
 - :mod:`repro.faults` — deterministic fault injection + mitigation
 - :mod:`repro.telemetry` — structured run events, manifests, metrics
-- :mod:`repro.service` — long-running request server over the facade
 - :mod:`repro.api` — the stable keyword-only facade re-exported here
 
 The facade functions (:func:`simulate`, :func:`characterize`,
 :func:`profile`, :func:`inject`, :func:`load_trace`,
-:func:`diff_traces`, :func:`connect`) are the supported programmatic
-entry points; see :mod:`repro.api` for the stability contract.
+:func:`diff_traces`) are the supported programmatic entry points; see
+:mod:`repro.api` for the stability contract.
 """
 
 from repro.api import (
     ProfileReport,
     characterize,
-    connect,
     diff_traces,
     inject,
     load_trace,
@@ -45,6 +43,5 @@ __all__ = [
     "inject",
     "load_trace",
     "diff_traces",
-    "connect",
     "ProfileReport",
 ]

@@ -13,14 +13,12 @@ report         regenerate every paper artifact into a markdown report
 trace          inspect / diff telemetry event streams (JSONL)
 lint           project static analysis (reprolint) over a file set
 graph          whole-program import graph and API lockfile
-serve          long-running sensing service (unix socket or TCP)
-request        one request against a running sensing service
 
 The simulation commands are thin wrappers over :mod:`repro.api` — the
 same keyword-only facade scripts are expected to use.
 
 Error contract: bad user input — an invalid argument value, a malformed
-spec string, an unreachable service — exits 2 with a one-line message
+spec string, an unreadable file — exits 2 with a one-line message
 on stderr (``repro <command>: <reason>``), uniformly across
 subcommands.  Exit 1 is reserved for completed runs with a negative
 outcome (a crash), matching ``result.crashed``.
@@ -413,116 +411,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_host_port(spec: str) -> tuple:
-    """``"host:port"`` for ``--tcp`` (the last colon splits, for IPv6)."""
-    host, _, port_text = spec.rpartition(":")
-    if not host or not port_text:
-        raise ValueError(f"--tcp must look like host:port, got {spec!r}")
-    try:
-        return host, int(port_text)
-    except ValueError:
-        raise ValueError(
-            f"--tcp port must be an integer, got {port_text!r}"
-        ) from None
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.server import serve_blocking
-
-    socket_path = host = port = None
-    if args.tcp:
-        host, port = _parse_host_port(args.tcp)
-    else:
-        socket_path = args.socket
-
-    def _ready(server) -> None:
-        kind = server.address[0]
-        where = ":".join(str(part) for part in server.address[1:])
-        print(
-            f"repro service listening on {kind} {where} "
-            f"({server.workers} workers, queue limit {server.queue_limit})"
-        )
-        sys.stdout.flush()
-
-    serve_blocking(
-        socket_path=socket_path,
-        host=host,
-        port=port,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        stats_path=args.stats,
-        ready_callback=_ready,
-    )
-    return 0
-
-
-def _is_hil_result(obj) -> bool:
-    """Duck-typed HilResult check (the hil layer stays un-imported here)."""
-    return hasattr(obj, "mae") and hasattr(obj, "cycles")
-
-
-def _summarize_served_result(result) -> None:
-    """Human-readable rendering for whatever a served op returned."""
-    import json as json_module
-
-    from repro.api import ProfileReport
-
-    if _is_hil_result(result):
-        status = "CRASHED" if result.crashed else "completed"
-        print(
-            f"{status}: MAE = {result.mae(skip_time_s=2.0) * 100:.2f} cm "
-            f"over {result.duration_s():.1f} s ({len(result.cycles)} cycles)"
-        )
-    elif isinstance(result, ProfileReport):
-        _summarize_served_result(result.result)
-        print(result.table())
-    elif isinstance(result, list):
-        for index, item in enumerate(result):
-            if _is_hil_result(item):
-                print(f"[{index}] ", end="")
-                _summarize_served_result(item)
-            elif hasattr(item, "knobs"):
-                status = (
-                    "CRASH" if item.crashed else f"MAE {item.mae * 100:6.2f} cm"
-                )
-                print(
-                    f"  {item.knobs.isp} {item.knobs.roi} "
-                    f"v={item.knobs.speed_kmph:.0f} -> {status}"
-                )
-            else:
-                print(item)
-    else:
-        print(json_module.dumps(result, indent=2, sort_keys=True))
-
-
-def _cmd_request(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.api import connect
-
-    if args.params:
-        try:
-            params = json_module.loads(args.params)
-        except json_module.JSONDecodeError as exc:
-            raise ValueError(f"--params must be valid JSON: {exc}") from None
-        if not isinstance(params, dict):
-            raise ValueError("--params must be a JSON object")
-    else:
-        params = {}
-    if args.tcp:
-        kwargs = {"tcp": args.tcp}
-    else:
-        kwargs = {"socket": args.socket}
-    # Connection and typed service failures (queue_full, bad params,
-    # unknown op, ...) propagate to main()'s handler -> exit 2.
-    with connect(timeout=args.timeout, **kwargs) as client:
-        result = client.request(
-            args.op, params=params, deadline_ms=args.deadline_ms
-        )
-    _summarize_served_result(result)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI parser."""
     parser = argparse.ArgumentParser(
@@ -687,55 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(api_surface.json) and exit")
     p_graph.set_defaults(func=_cmd_graph)
 
-    p_serve = sub.add_parser(
-        "serve", help="long-running sensing service (unix socket or TCP)"
-    )
-    p_serve.add_argument(
-        "--socket", default="repro.sock",
-        help="unix-domain socket path to listen on (default repro.sock)",
-    )
-    p_serve.add_argument(
-        "--tcp", default=None, metavar="HOST:PORT",
-        help="listen on TCP instead of the unix socket",
-    )
-    p_serve.add_argument(
-        "--workers", default=None,
-        help="worker processes (0 or 'auto' = all cores; "
-             "default: $REPRO_JOBS or 1)",
-    )
-    p_serve.add_argument(
-        "--queue-limit", type=int, default=16,
-        help="bounded admission queue size; requests past it are "
-             "rejected with a typed queue_full error (default 16)",
-    )
-    p_serve.add_argument(
-        "--stats", default=None, metavar="PATH",
-        help="flush the final metrics snapshot to this JSON file on drain",
-    )
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_req = sub.add_parser(
-        "request", help="one request against a running sensing service"
-    )
-    p_req.add_argument(
-        "op",
-        help="operation: simulate, characterize, inject, profile, "
-             "health, stats, shutdown",
-    )
-    p_req.add_argument(
-        "--params", default="",
-        help="operation parameters as a JSON object, e.g. "
-             "'{\"seed\": 7, \"length_m\": 60}'",
-    )
-    p_req.add_argument("--socket", default="repro.sock",
-                       help="service unix socket path (default repro.sock)")
-    p_req.add_argument("--tcp", default=None, metavar="HOST:PORT",
-                       help="connect over TCP instead of the unix socket")
-    p_req.add_argument("--deadline-ms", type=float, default=None,
-                       help="server-side deadline for this request")
-    p_req.add_argument("--timeout", type=float, default=None,
-                       help="client-side response wait in seconds")
-    p_req.set_defaults(func=_cmd_request)
     return parser
 
 
@@ -743,16 +582,14 @@ def main(argv=None) -> int:
     """CLI entry point; returns the process exit code.
 
     Uniform error contract: bad user input — wherever it is detected
-    (argument coercion, facade validation, an unreachable or rejecting
-    service) — prints one line on stderr and exits 2.
+    (argument coercion, facade validation, an unreadable file) — prints
+    one line on stderr and exits 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    from repro.service.errors import ServiceError
-
     try:
         return args.func(args)
-    except (ValueError, ServiceError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -611,12 +611,11 @@ class DeadFunctionRule(ProjectRule):
 class ApiLockfileRule(ProjectRule):
     """API003: the extracted public API surface drifted from the lockfile.
 
-    The surface (``repro.api`` signatures, the package root's
-    ``__all__``, and the served ``repro.service`` modules) is recorded
-    in ``api_surface.json``; see :mod:`repro.analysis.surface`.  Any
-    drift without a lockfile update is a finding, making facade
-    breakage a static error.  Regenerate with
-    ``python -m repro graph --update-lockfile``.
+    The surface (``repro.api`` signatures and the package root's
+    ``__all__``) is recorded in ``api_surface.json``; see
+    :mod:`repro.analysis.surface`.  Any drift without a lockfile update
+    is a finding, making facade breakage a static error.  Regenerate
+    with ``python -m repro graph --update-lockfile``.
     """
 
     id = "API003"
@@ -681,44 +680,6 @@ class ApiLockfileRule(ProjectRule):
                         f"{current_api[name]!r}); {self._HINT}",
                     )
                 )
-        current_service: Dict[str, object] = surface.get("service", {})
-        recorded_service = recorded.get("service", {})
-        for module in sorted(set(current_service) | set(recorded_service)):
-            current_entries = current_service.get(module, {})
-            recorded_entries = recorded_service.get(module, {})
-            module_anchor = anchors.get(
-                f"service:{module}", anchors.get("api", ("", 1))
-            )
-            for name in sorted(set(current_entries) | set(recorded_entries)):
-                path, line = anchors.get(
-                    f"service:{module}:{name}", module_anchor
-                )
-                label = f"service.{module}.{name}"
-                if name not in recorded_entries:
-                    findings.append(
-                        self.finding(
-                            path, line, 0,
-                            f"{label} is exported but not recorded in "
-                            f"{lock_path.name}; {self._HINT}",
-                        )
-                    )
-                elif name not in current_entries:
-                    findings.append(
-                        self.finding(
-                            path, line, 0,
-                            f"{label} is recorded in {lock_path.name} but "
-                            f"no longer exported; {self._HINT}",
-                        )
-                    )
-                elif current_entries[name] != recorded_entries[name]:
-                    findings.append(
-                        self.finding(
-                            path, line, 0,
-                            f"{label} drifted from the locked surface "
-                            f"(locked: {recorded_entries[name]!r}, current: "
-                            f"{current_entries[name]!r}); {self._HINT}",
-                        )
-                    )
         if sorted(recorded.get("root_all", [])) != surface["root_all"]:
             path, line = anchors.get("root_all", ("", 1))
             findings.append(
@@ -888,7 +849,7 @@ class CacheKeyConstructionRule(ProjectRule):
     The whole point of a content-addressed store is that one rollout
     has exactly one address.  ``repro.cache.keys`` is the single
     constructor of that address; a stray ``config_hash(...)`` call in a
-    consumer (facade, sweep runner, service) would mint a second,
+    consumer (facade, sweep runner) would mint a second,
     subtly different key for the same inputs — entries written under
     one spelling and looked up under the other never hit, which is a
     silent full-recompute, not an error.  Only the hash's home module,

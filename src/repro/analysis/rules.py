@@ -651,24 +651,15 @@ class FacadeSignatureRule(Rule):
     name = "facade-signature"
     severity = SEVERITY_ERROR
     description = (
-        "facade/service public function with extra positional parameters "
-        "or no docstring; the served surface is keyword-only by contract"
+        "facade public function with extra positional parameters "
+        "or no docstring; the facade is keyword-only by contract"
     )
 
-    #: The modules under the facade stability contract: the facade
-    #: itself plus every public module of the served surface
-    #: (``repro.service``), which API003 locks alongside it.
-    _FACADE_SUFFIXES = (
-        "repro/api.py",
-        "repro/service/__init__.py",
-        "repro/service/client.py",
-        "repro/service/errors.py",
-        "repro/service/protocol.py",
-        "repro/service/server.py",
-    )
+    #: The module under the facade stability contract.
+    _FACADE_SUFFIX = "repro/api.py"
 
     def visit_node(self, node: ast.AST, ctx) -> None:
-        if not ctx.posix_path.endswith(self._FACADE_SUFFIXES):
+        if not ctx.posix_path.endswith(self._FACADE_SUFFIX):
             return
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return
@@ -696,86 +687,6 @@ class FacadeSignatureRule(Rule):
             )
 
 
-def _service_vocabulary() -> Optional[Dict[str, frozenset]]:
-    """The wire vocabulary, imported from the modules that define it.
-
-    Returns None when the repro packages are unavailable (linting a
-    foreign tree), which disables the check rather than guessing.
-    """
-    try:
-        from repro.service import protocol
-    except ImportError:
-        return None
-    # Codes that are everyday words ("cancelled", "internal") and the
-    # one op that doubles as a facade parameter name ("profile") are
-    # excluded: exact-matching them would flag legitimate strings.
-    return {
-        "ops": frozenset(protocol.ALL_OPS) - {"profile"},
-        "codes": frozenset(protocol.ERROR_CODES) - {"cancelled", "internal"},
-    }
-
-
-class ProtocolLiteralRule(Rule):
-    """SVC001: service wire-protocol strings spelled as literals.
-
-    The wire vocabulary — operation names and error codes — is defined
-    once, in :mod:`repro.service.protocol` (codes canonically on the
-    exception classes in :mod:`repro.service.errors`).  Spelling one as
-    a string literal anywhere else can silently drift from the protocol,
-    exactly the failure mode ``OBS001`` guards for telemetry event
-    names.  Error codes are distinctive and scanned package-wide;
-    operation names are ordinary words elsewhere in the tree (the CLI
-    has a ``profile`` command, the facade a ``simulate`` function), so
-    they are only scanned inside ``repro/service/`` itself.
-    """
-
-    id = "SVC001"
-    name = "protocol-literal"
-    severity = SEVERITY_ERROR
-    description = (
-        "service protocol string literal outside repro/service/protocol.py; "
-        "import the OP_*/ERR_* constant instead"
-    )
-
-    #: The two modules that *define* the vocabulary.
-    _EXEMPT_SUFFIXES = ("service/protocol.py", "service/errors.py")
-    _SERVICE_MARKER = "repro/service/"
-
-    def __init__(self):
-        self._vocabulary = _service_vocabulary()
-
-    def visit_node(self, node: ast.AST, ctx) -> None:
-        if self._vocabulary is None:
-            return
-        if not isinstance(node, ast.Constant) or not isinstance(
-            node.value, str
-        ):
-            return
-        if ctx.posix_path.endswith(self._EXEMPT_SUFFIXES):
-            return
-        if ctx.is_docstring(node):
-            return
-        value = node.value
-        if value in self._vocabulary["codes"]:
-            ctx.report(
-                self,
-                node,
-                f"error-code literal {value!r}; import the ERR_* constant "
-                "from repro.service.protocol (or catch the typed exception "
-                "from repro.service.errors)",
-            )
-        elif (
-            value in self._vocabulary["ops"]
-            and self._SERVICE_MARKER in ctx.posix_path
-        ):
-            ctx.report(
-                self,
-                node,
-                f"operation-name literal {value!r} inside repro.service; "
-                "use the OP_* constant from repro.service.protocol",
-            )
-
-
 #: All rule classes in id order; the engine instantiates per run.
 RULES: Tuple[type, ...] = (
     UnseededRandomRule,
@@ -790,7 +701,6 @@ RULES: Tuple[type, ...] = (
     HotPathFloat64Rule,
     PrintInLibraryRule,
     FacadeSignatureRule,
-    ProtocolLiteralRule,
 )
 
 

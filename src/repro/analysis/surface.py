@@ -3,12 +3,10 @@
 The facade contract (:mod:`repro.api`) promises that public entry
 points never silently change shape.  PR tests can only catch breakage
 they exercise; the lockfile makes it *static*: the signatures of every
-name in ``api.__all__``, the package root's ``__all__``, and the served
-surface (each public module of :mod:`repro.service`, keyed
-``service.<module>``) are serialized into ``api_surface.json``, and the
-``API003`` project rule (:mod:`repro.analysis.graph`) fails the lint
-when the tree drifts from the recorded surface without a lockfile
-update.
+name in ``api.__all__`` and the package root's ``__all__`` are
+serialized into ``api_surface.json``, and the ``API003`` project rule
+(:mod:`repro.analysis.graph`) fails the lint when the tree drifts from
+the recorded surface without a lockfile update.
 
 Everything here is AST-based — extracting the surface never imports the
 package under analysis, so a broken tree can still be diffed.
@@ -147,9 +145,8 @@ def extract_api_surface(
     """Extract the locked surface of the package at *package_dir*.
 
     Returns ``(surface, anchors)``: the JSON-ready surface document, and
-    a map from surface key (``"api:<name>"`` / ``"root_all"`` /
-    ``"service:<module>:<name>"``) to the ``(posix path, line)`` a drift
-    finding should anchor at.
+    a map from surface key (``"api:<name>"`` / ``"root_all"``) to the
+    ``(posix path, line)`` a drift finding should anchor at.
     """
     surface: Dict[str, object] = {
         "lockfile_version": LOCKFILE_VERSION,
@@ -173,27 +170,6 @@ def extract_api_surface(
         root_all, line = _module_all(tree)
         surface["root_all"] = sorted(root_all or ())
         anchors["root_all"] = (display, line)
-
-    # The served surface rides under the same discipline as the facade:
-    # every public module of repro.service is locked per-name.
-    service_dir = package_dir / "service"
-    if service_dir.is_dir():
-        service: Dict[str, object] = {}
-        for module_path in sorted(service_dir.glob("*.py")):
-            module = module_path.stem
-            if module.startswith("_") and module != "__init__":
-                continue
-            display, entries, lines, all_line = _extract_module_surface(
-                module_path
-            )
-            if not entries:
-                continue
-            service[module] = entries
-            anchors[f"service:{module}"] = (display, all_line)
-            for name, line in lines.items():
-                anchors[f"service:{module}:{name}"] = (display, line)
-        if service:
-            surface["service"] = service
 
     return surface, anchors
 

@@ -12,10 +12,7 @@ engine plumbing —
   degradation enabled (see :mod:`repro.faults`);
 - :func:`load_trace` / :func:`diff_traces` — read and compare the
   JSONL telemetry traces ``simulate(telemetry=...)`` writes (see
-  :mod:`repro.telemetry`);
-- :func:`connect` — a client for a running ``python -m repro serve``
-  service (see :mod:`repro.service`); a served ``simulate`` returns
-  results bit-identical to the in-process call.
+  :mod:`repro.telemetry`).
 
 Stability contract (see also ``docs/DESIGN.md``): every public function
 here takes keyword-only arguments, new parameters are only ever added
@@ -23,9 +20,7 @@ with defaults that preserve existing behaviour, and returned objects
 only grow fields.  Everything below :mod:`repro.api` (engine classes,
 manager internals) may change between versions; scripts that stick to
 this module keep working.  The ``API002`` lint rule enforces the
-keyword-only + docstring convention mechanically, and the service wire
-schema carries the same contract across processes (versioned ``"v": 1``
-envelopes, additive-only fields).
+keyword-only + docstring convention mechanically.
 
 Deprecation history: the ``window_ms`` alias of
 ``ReconfigurationManager``'s ``invocation_window_ms`` (deprecated in
@@ -54,7 +49,6 @@ if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.hil.engine import HilConfig
     from repro.hil.record import HilResult
-    from repro.service.client import ServiceClient
     from repro.sim.track import Track
     from repro.telemetry.trace import RunTrace
 
@@ -65,7 +59,6 @@ __all__ = [
     "inject",
     "load_trace",
     "diff_traces",
-    "connect",
     "ProfileReport",
 ]
 
@@ -463,30 +456,6 @@ def inject(
         frame=frame,
         config=config,
     )
-
-
-def connect(
-    *,
-    socket: Optional[str] = None,
-    tcp: Optional[str] = None,
-    timeout: Optional[float] = None,
-) -> ServiceClient:
-    """Connect to a running sensing service (``python -m repro serve``).
-
-    Exactly one of ``socket`` (a Unix-domain socket path) or ``tcp``
-    (``"host:port"``) selects the transport; ``timeout`` bounds each
-    response wait in seconds.  Returns a context-manager
-    :class:`~repro.service.client.ServiceClient` whose ``submit`` /
-    ``result`` / ``cancel`` / ``stats`` methods speak the versioned wire
-    protocol — a served ``simulate`` returns a
-    :class:`~repro.hil.record.HilResult` bit-identical to calling
-    :func:`simulate` in-process with the same seed.  Typed service
-    failures (queue full, deadline exceeded, draining) raise the
-    matching :mod:`repro.service.errors` exception.
-    """
-    from repro.service.client import ServiceClient
-
-    return ServiceClient(socket=socket, tcp=tcp, timeout=timeout)
 
 
 def load_trace(*, path: Union[str, Path]) -> RunTrace:

@@ -14,8 +14,7 @@ cycle records, and the manifest minus its wall-clock bounds.
 
 Consumers: ``repro.simulate(cache=...)`` (a per-seed lookup; only the
 misses are rolled), ``core.characterization`` (workers read through,
-only the parent writes back), the service's ``simulate`` op, and the
-``python -m repro cache`` CLI.
+only the parent writes back), and the ``python -m repro cache`` CLI.
 """
 
 from repro.cache.keys import (

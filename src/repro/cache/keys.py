@@ -32,7 +32,7 @@ anyway).
 
 This module is the only place rollout cache keys may be constructed —
 the ``CAC001`` lint rule rejects ``config_hash`` calls elsewhere, so
-every consumer (facade, batch engine, sweep runner, service) agrees on
+every consumer (facade, batch engine, sweep runner) agrees on
 one key for one rollout.
 """
 

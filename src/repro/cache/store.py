@@ -75,8 +75,8 @@ class CacheStats:
         )
 
 
-#: Process-wide tallies across every counting store (the service and the
-#: benchmarks read deltas of this to report hit/miss rates).
+#: Process-wide tallies across every counting store (the benchmarks read
+#: deltas of this to report hit/miss rates).
 _GLOBAL_STATS = CacheStats()
 
 

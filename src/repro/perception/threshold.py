@@ -73,8 +73,8 @@ def brightness_channels(bev_rgb: np.ndarray) -> tuple:
     # Yellow paint has R >= G >> B (blue well under 60 % of the others);
     # vegetation has G > R and road/grass boundary mixes have B only
     # mildly depressed, so both stay out of the mask.
-    yellow = np.clip(
-        np.minimum(r, g) - 1.6 * b - 2.0 * np.clip(g - r, 0.0, None), 0.0, None
+    yellow = np.maximum(
+        np.minimum(r, g) - 1.6 * b - 2.0 * np.maximum(g - r, 0.0), 0.0
     )
     return white, yellow
 

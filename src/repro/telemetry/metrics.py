@@ -55,27 +55,6 @@ class MetricsRegistry:
         """A copy of the samples recorded under *name* (maybe empty)."""
         return list(self._histograms.get(name, ()))
 
-    def histogram_summaries(self) -> Dict[str, Dict[str, float]]:
-        """Per-histogram ``{"count", "mean", "p95"}`` summaries.
-
-        The compact reporting view for surfaces (like the service
-        ``stats`` operation) that want latency shapes without shipping
-        every raw sample.  ``p95`` uses the nearest-rank percentile of
-        the retained samples.
-        """
-        summaries: Dict[str, Dict[str, float]] = {}
-        for name, samples in self._histograms.items():
-            if not samples:
-                continue
-            ordered = sorted(samples)
-            rank = max(0, min(len(ordered) - 1, int(0.95 * len(ordered))))
-            summaries[name] = {
-                "count": float(len(ordered)),
-                "mean": sum(ordered) / len(ordered),
-                "p95": ordered[rank],
-            }
-        return summaries
-
     def absorb_profiler(self, stats: Mapping[str, object]) -> None:
         """Fold :meth:`repro.utils.profiling.Profiler.stats` output in.
 

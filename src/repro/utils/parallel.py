@@ -64,7 +64,6 @@ from repro.utils.rng import stream_seed
 __all__ = [
     "StatsFunnel",
     "TaskFailure",
-    "get_executor",
     "parallel_map",
     "register_stats_funnel",
     "resolve_batch",
@@ -223,19 +222,6 @@ def shutdown_pool() -> None:
 
 
 atexit.register(shutdown_pool)
-
-
-def get_executor(jobs: Union[int, str, None] = None) -> ProcessPoolExecutor:
-    """The persistent worker pool for *jobs* workers (see :func:`resolve_jobs`).
-
-    Long-lived callers (the :mod:`repro.service` server) submit their own
-    futures against the shared pool instead of going through
-    :func:`parallel_map`; the pool is the same one sweeps reuse, so a
-    resident server amortizes worker fork and cache-warm costs across
-    every request.  Do not shut the returned executor down directly —
-    use :func:`shutdown_pool`.
-    """
-    return _get_pool(max(1, resolve_jobs(jobs)))
 
 
 def _run_one(fn: Callable[[T], R], item: T, index: int) -> Union[R, TaskFailure]:

@@ -12,8 +12,8 @@ The four entries cover the paths a cache or kernel regression could
 silently skew: a nominal one-lane run, a fault campaign with
 mitigation, a lock-step batched run (lane traces are invariant to batch
 composition, so the one-lane trace doubles as the batched reference),
-and a run served over the wire protocol (bit-identical to in-process by
-contract).  A serial ``HilEngine.run`` is the lock-step engine with one
+and a case-4 run (all three classifiers adapting ROI, speed and ISP).
+A serial ``HilEngine.run`` is the lock-step engine with one
 lane, so the engine's own tests can only compare it with itself at
 different batch sizes; these fixtures, recorded by the retired serial
 step loop and replayed unregenerated, are the independent reference.
@@ -35,8 +35,7 @@ from typing import Dict
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-#: The facade keywords of each corpus entry.  Values are pure JSON so
-#: the ``served`` entry can travel over the wire protocol unchanged.
+#: The facade keywords of each corpus entry.
 #: Frames are small and tracks short: the fixtures stay a few hundred
 #: kilobytes and each replay runs in well under a second.
 CORPUS: Dict[str, Dict[str, object]] = {
@@ -63,7 +62,7 @@ CORPUS: Dict[str, Dict[str, object]] = {
         "frame": (96, 48),
         "length_m": 40.0,
     },
-    "served": {
+    "case4": {
         "situation": 4,
         "case": "case4",
         "seed": 17,
@@ -103,17 +102,6 @@ def reference_result(name: str):
     if name == "batched":
         results = repro.api.simulate(**params, batch=len(params["seed"]))
         return results[0]
-    if name == "served":
-        from repro.service.server import ServerThread
-
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            with ServerThread(
-                socket_path=str(Path(tmp) / "golden.sock"), workers=1
-            ) as thread:
-                with repro.api.connect(**thread.connect_kwargs) as client:
-                    return client.simulate(**params)
     return repro.api.simulate(**params)
 
 

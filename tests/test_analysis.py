@@ -220,20 +220,6 @@ RULE_FIXTURES = [
         """,
         "src/repro/nn/layers.py",
     ),
-    (
-        "SVC001",
-        """
-        def reject(request_id):
-            return {"error": {"code": "queue_full"}}
-        """,
-        """
-        from repro.service import protocol
-
-        def reject(request_id):
-            return {"error": {"code": protocol.ERR_QUEUE_FULL}}
-        """,
-        "src/repro/service/handler.py",
-    ),
 ]
 
 
@@ -283,23 +269,6 @@ def test_broad_except_allows_reraise():
     """
     assert not rule_hits(source, "EXC001")
     assert rule_hits(source.replace("raise", "return 2"), "EXC001")
-
-
-def test_svc_rule_exempts_protocol_and_errors_modules():
-    source = 'CODE = "queue_full"\n'
-    assert rule_hits(source, "SVC001", "src/repro/service/server.py")
-    assert not rule_hits(source, "SVC001", "src/repro/service/protocol.py")
-    assert not rule_hits(source, "SVC001", "src/repro/service/errors.py")
-
-
-def test_svc_rule_scans_op_names_only_inside_service():
-    # Op names are everyday words ("simulate", "health"), so they are
-    # only protocol vocabulary inside the service package; error codes
-    # are distinctive enough to flag anywhere.
-    source = 'op = "simulate"\n'
-    assert rule_hits(source, "SVC001", "src/repro/service/client.py")
-    assert not rule_hits(source, "SVC001", "src/repro/api.py")
-    assert rule_hits('code = "deadline_exceeded"\n', "SVC001", "src/repro/api.py")
 
 
 def test_knob_domain_keywords_and_docstrings():

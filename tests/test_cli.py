@@ -66,10 +66,13 @@ class TestParsing:
         capsys.readouterr()
 
     def test_unknown_command_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["teleport"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+        # "serve" and "request" are the retired serving commands: they
+        # must fail as argparse usage errors, not run anything.
+        for command in ("teleport", "serve", "request"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command])
+            assert excinfo.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -199,33 +202,6 @@ class TestInjectCommand:
         assert "unknown fault plan preset" in captured.err
 
 
-class TestRequestCommand:
-    def test_request_health_and_simulate_round_trip(self, tmp_path, capsys):
-        from repro.service.server import ServerThread
-
-        with ServerThread(
-            socket_path=str(tmp_path / "svc.sock"), workers=1
-        ) as thread:
-            socket_args = ["--socket", thread.connect_kwargs["socket"]]
-            code = main(["request", "health", *socket_args])
-            health_out = capsys.readouterr().out
-            params = json.dumps(
-                {"seed": 7, "length_m": 40.0, "frame": [96, 48]}
-            )
-            code_sim = main(
-                ["request", "simulate", "--params", params, *socket_args]
-            )
-            sim_out = capsys.readouterr().out
-        assert code == 0 and "status" in health_out
-        assert code_sim == 0 and "completed" in sim_out and "MAE" in sim_out
-
-    def test_params_must_be_a_json_object(self, capsys):
-        code = main(["request", "simulate", "--params", "[1,2]",
-                     "--socket", "irrelevant.sock"])
-        assert code == 2
-        assert "JSON object" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # the uniform bad-input contract: exit 2, one line on stderr
 
@@ -237,15 +213,14 @@ class TestBadInputExitsTwo:
             ["run", "--length", "-5", *FRAME_ARGS],
             ["characterize", "--situation", "99"],
             ["trace", "/nonexistent/trace.jsonl", "--show"],
-            ["request", "health", "--socket", "/nonexistent/svc.sock"],
         ],
-        ids=["run", "characterize", "trace", "request"],
+        ids=["run", "characterize", "trace"],
     )
     def test_bad_user_input_exits_two_with_one_stderr_line(
         self, argv, capsys
     ):
         # Every command funnels user-input defects (ValueError,
-        # ServiceError, OSError) through the same handler in main():
+        # OSError) through the same handler in main():
         # exit code 2 and exactly one "repro <command>: ..." line on
         # stderr, never a traceback.
         code = main(argv)

@@ -1,17 +1,13 @@
-"""Property-based fuzz tests for the wire codecs and the rollout cache.
+"""Property-based fuzz tests for the rollout cache key and entry layer.
 
-Two codec families carry results between processes, and both promise
-bit-identity: the service wire protocol (:mod:`repro.service.protocol`)
-and the rollout cache key/entry layer (:mod:`repro.cache`).  These
-tests drive both with randomized-but-seeded payloads — NaN/inf floats,
-empty arrays, unicode op params — and assert the round trip is exact.
-The adversarial half feeds malformed envelopes to the decoders and
-requires a *typed* :class:`~repro.service.errors.ServiceError` every
-time: a traceback from a hostile line is a framing bug.
+The rollout cache (:mod:`repro.cache`) promises that a key document
+hashes to one stable address and that a stored result loads back
+bit-identical.  These tests drive both with randomized-but-seeded
+payloads — NaN/inf floats, empty arrays, unicode cycle and manifest
+text — and assert the round trip is exact.
 
-Float equality here means bitwise for finite and infinite values;
-NaN payloads survive as NaN but JSON's ``NaN`` token canonicalizes the
-sign/payload bits, so NaN positions are compared as a mask.
+Float equality here means bitwise for finite and infinite values; NaN
+positions are compared as a mask.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,34 +24,19 @@ from repro.cache import (
     rollout_key_document,
 )
 from repro.hil.record import CycleRecord, HilResult
-from repro.service import protocol
-from repro.service.errors import ServiceError
 
 # -- strategies -------------------------------------------------------------
 
 #: float64 payloads including NaN, +/-inf and signed zeros.
-wire_floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
+payload_floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 #: Array payloads: empty through small 1-D float64.
-float_arrays = st.lists(wire_floats, min_size=0, max_size=8).map(
+float_arrays = st.lists(payload_floats, min_size=0, max_size=8).map(
     lambda values: np.asarray(values, dtype=np.float64)
 )
 
-#: Unicode as it appears in op params (identifiers, fault kinds, ...).
+#: Unicode as it appears in cycle records and manifests.
 unicode_text = st.text(min_size=0, max_size=20)
-
-#: Arbitrary JSON documents, for the adversarial envelope fuzz.
-json_documents = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(2**53), max_value=2**53)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | unicode_text,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(unicode_text, children, max_size=4),
-    max_leaves=12,
-)
-
 
 def assert_floats_equal(expected, actual, label):
     """Bitwise equality for finite/inf entries, masked equality for NaN."""
@@ -113,115 +93,6 @@ result_strategy = st.builds(
     st.none() | st.floats(allow_nan=False, allow_infinity=False),
     unicode_text,
 )
-
-
-# -- wire protocol round trips ----------------------------------------------
-
-
-class TestHilResultPayloadRoundTrip:
-    @given(result_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_payload_codec_is_lossless(self, result):
-        # Through the full wire framing, not just the payload dicts:
-        # encode -> bytes -> decode, as a served response travels.
-        payload = protocol.work_result_to_payload(
-            protocol.OP_SIMULATE, result=result
-        )
-        line = protocol.encode_response(
-            protocol.ok_response(request_id="f1", op=protocol.OP_SIMULATE,
-                                 result=payload)
-        )
-        envelope = protocol.decode_response(line)
-        decoded = protocol.work_result_from_payload(envelope["result"])
-        for field in ("time_s", "s", "lateral_offset", "y_l_true",
-                      "steering", "speed"):
-            assert_floats_equal(
-                getattr(result, field), getattr(decoded, field), field
-            )
-        assert decoded.cycles == result.cycles
-        assert decoded.crashed == result.crashed
-        assert decoded.crash_s == result.crash_s
-        assert decoded.completed == result.completed
-        assert decoded.manifest == result.manifest
-
-    @given(st.lists(result_strategy, min_size=0, max_size=3))
-    @settings(max_examples=15, deadline=None)
-    def test_result_list_payloads_keep_order(self, results):
-        payload = protocol.work_result_to_payload(
-            protocol.OP_SIMULATE, result=results
-        )
-        decoded = protocol.work_result_from_payload(
-            json.loads(protocol.encode_response(
-                protocol.ok_response(request_id="f2",
-                                     op=protocol.OP_SIMULATE, result=payload)
-            ))["result"]
-        )
-        assert len(decoded) == len(results)
-        for expected, actual in zip(results, decoded):
-            assert_floats_equal(expected.time_s, actual.time_s, "time_s")
-            assert actual.cycles == expected.cycles
-
-
-class TestRequestCodecRoundTrip:
-    @given(
-        st.sampled_from(sorted(protocol.ALL_OPS)),
-        st.text(min_size=1, max_size=24),
-        st.dictionaries(
-            st.text(min_size=1, max_size=12), json_documents, max_size=4
-        ),
-        st.none() | st.floats(min_value=0.001, max_value=1e6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_preserves_unicode_params(
-        self, op, request_id, params, deadline_ms
-    ):
-        line = protocol.encode_request(
-            op=op, request_id=request_id, params=params,
-            deadline_ms=deadline_ms,
-        )
-        request = protocol.decode_request(line)
-        assert request.op == op
-        assert request.request_id == request_id
-        assert request.params == params
-        if deadline_ms is None:
-            assert request.deadline_ms is None
-        else:
-            assert request.deadline_ms == pytest.approx(float(deadline_ms))
-
-
-class TestMalformedEnvelopes:
-    """Hostile bytes/documents must fail typed, never with a traceback."""
-
-    @given(st.binary(max_size=64))
-    @settings(max_examples=80, deadline=None)
-    def test_arbitrary_bytes_yield_service_errors(self, line):
-        with pytest.raises(ServiceError):
-            protocol.decode_request(line)
-        with pytest.raises(ServiceError):
-            protocol.decode_response(line)
-
-    @given(json_documents)
-    @settings(max_examples=80, deadline=None)
-    def test_arbitrary_json_yields_service_errors_or_requests(self, document):
-        line = json.dumps(document)
-        try:
-            request = protocol.decode_request(line)
-        except ServiceError:
-            return
-        # The only lines that parse are real envelopes.
-        assert request.op in protocol.ALL_OPS
-        assert isinstance(request.request_id, str) and request.request_id
-
-    @given(json_documents)
-    @settings(max_examples=80, deadline=None)
-    def test_mutated_envelopes_never_traceback(self, junk):
-        document = {"v": protocol.PROTOCOL_VERSION, "op": junk, "id": junk,
-                    "params": junk, "deadline_ms": junk}
-        try:
-            request = protocol.decode_request(json.dumps(document))
-        except ServiceError:
-            return
-        assert request.op in protocol.ALL_OPS
 
 
 # -- cache key + store properties -------------------------------------------

@@ -1,8 +1,8 @@
 """Golden-trace regression tests: replay the frozen corpus byte-for-byte.
 
 Each corpus entry (see :mod:`tests.golden_corpus`) pins one execution
-path — nominal serial, fault + mitigation, lock-step batched, served
-over the wire — against fixture files committed under ``tests/golden/``.
+path — nominal serial, fault + mitigation, lock-step batched, case 4 —
+against fixture files committed under ``tests/golden/``.
 A failure here means the simulation kernels changed behaviour: either a
 regression, or an intentional change that must bump the kernel-identity
 version *and* regenerate the corpus (``python tests/golden_corpus.py``).

@@ -635,6 +635,43 @@ class TestThresholdKernel:
             bev[:, 2 * width // 3] = (0.9, 0.8, 0.1)
         return bevs
 
+    def test_brightness_channels_equal_clip_reference(self, rng):
+        """``np.maximum(x, 0.0)`` in place of ``np.clip(x, 0.0, None)``
+        keeps every byte: signed zeros, NaN, infinities, negatives and
+        subnormals in every channel combination, and random BEVs."""
+        from itertools import product
+
+        from repro.perception.threshold import brightness_channels
+
+        def reference(bev):
+            r, g, b = bev[..., 0], bev[..., 1], bev[..., 2]
+            white = np.minimum(np.minimum(r, g), b)
+            yellow = np.clip(
+                np.minimum(r, g) - 1.6 * b - 2.0 * np.clip(g - r, 0.0, None),
+                0.0,
+                None,
+            )
+            return white, yellow
+
+        for dtype in (np.float32, np.float64):
+            tiny = np.finfo(dtype).smallest_subnormal
+            values = (-0.0, 0.0, np.nan, np.inf, -np.inf, -1.0, tiny, -tiny)
+            special = np.array(list(product(values, repeat=3)), dtype=dtype)
+            bevs = [
+                special.reshape(8, 64, 3),
+                rng.random((2, 96, 128, 3)).astype(dtype),
+                (rng.standard_normal((96, 128, 3)) * 0.5).astype(dtype),
+            ]
+            for bev in bevs:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = brightness_channels(bev)
+                    want = reference(bev)
+                for channel, expected in zip(got, want):
+                    assert channel.dtype == dtype
+                    assert channel.tobytes() == expected.tobytes()
+                yellow = got[1]
+                assert not np.signbit(yellow[~np.isnan(yellow)]).any()
+
     def test_row_median_equals_numpy(self, rng):
         import warnings
 
