@@ -39,9 +39,18 @@ touches the frame.  Every other lane-cycle senses the whole frame.  The
 crop is bit for bit the whole frame's pixels where perception reads
 them (DESIGN.md section 5).
 
-Between cycles, lanes sharing a plant configuration advance their
-5 ms steps as one stacked cohort (:meth:`Vehicle.step_batch` +
-:meth:`Track.frenet_batch`) — the only plant loop in :mod:`repro.hil`.
+Between cycles, lanes sharing a plant configuration advance a whole
+control interval per call as one stacked cohort — the only plant loop
+in :mod:`repro.hil`: RK4 ticks into a buffer, then one projection block
+for every buffered pose and look-ahead point, each hinted with its
+lane's start hint and projected again with its tick-by-tick hint until
+that lies in the :meth:`Track.hint_slots` slot of the hint it used.
+Points are independent and depend on their hint only through its slot,
+so at that fixed point every point equals the tick-by-tick chain, by
+induction over a lane's ticks.  A lane's trace is written as slices up
+to its first tick off the road (a crash) or past the finish; the ticks
+stepped beyond it are dropped unrecorded.
+
 Everything else — controller, reconfiguration manager, fault
 injection, RNG draws — is each lane's own Python, executed through the
 cycle seam methods of :class:`repro.hil.engine.HilEngine`.  Batching
@@ -107,7 +116,8 @@ class _Lane:
     engine: HilEngine
     vehicle: object
     n_steps: int
-    s_hint: float
+    s_hint: float  # its last tick's s: the next tick's projection hint
+    s_now: float = 0.0  # its pose's s at the rendezvous
     controller: Optional[LaneKeepingController] = None
     step: int = 0
     control_due: int = 0
@@ -128,6 +138,31 @@ class _Lane:
         self.y_arr = np.zeros(n)
         self.steer_arr = np.zeros(n)
         self.speed_arr = np.zeros(n)
+
+    def record(self, dt: float, rows, s, d, y_true) -> int:
+        """Record an interval's ticks up to the first one off the road or
+        past the finish; returns how many.  A lane still active puts its
+        state at the rendezvous back onto its vehicle."""
+        cfg = self.engine.config
+        crash = np.abs(d) > cfg.crash_offset_m
+        stop = crash | (s >= self.engine.track.length - cfg.end_margin_m)
+        n = int(stop.argmax()) + 1 if stop.any() else s.size
+        at = slice(self.recorded, self.recorded + n)
+        self.times[at] = np.arange(self.step + 1, self.step + n + 1) * dt
+        self.s_arr[at], self.d_arr[at], self.y_arr[at] = s[:n], d[:n], y_true[:n]
+        self.speed_arr[at], self.steer_arr[at] = rows[:n, 5], rows[:n, 6]
+        self.recorded += n
+        self.step += n
+        self.s_hint = float(s[n - 1])
+        self.active = not stop[n - 1] and self.step < self.n_steps
+        if stop[n - 1]:
+            self.crashed = bool(crash[n - 1])
+            self.completed = not self.crashed
+            self.crash_s = self.s_hint if self.crashed else None
+        elif self.active:
+            x, y, heading, v_y, r, speed, steer = rows[n - 1].tolist()
+            self.vehicle.state = VehicleState(Pose2D(x, y, heading), v_y, r, steer, speed)
+        return n
 
     def result(self, profile, wall_started: float, wall_finished: float) -> HilResult:
         """Assemble the :class:`HilResult` of the finished rollout.
@@ -255,139 +290,100 @@ class BatchedHilEngine:
             self._advance_group(members, params, step_ms / 1000.0)
 
     def _advance_group(self, members: List[_Lane], params, dt: float) -> None:
-        """Lock-step plant ticks for one homogeneous lane cohort.
-
-        The cohort's plant state lives in stacked arrays across ticks;
-        each tick applies the per-step logic to every lane not yet at
-        its cycle — budget check, pending actuation (before the new
-        sample: with tau == h a command lands exactly when the next
-        frame is taken), then one vectorized plant step.  Lanes drop
-        out of the tick as they hit their ``control_due`` (or crash /
-        finish / exhaust the budget); survivors' :class:`VehicleState`
-        objects are materialized once, at the rendezvous.
-        """
+        """Advance one homogeneous lane cohort through a control interval:
+        one :meth:`_project` block takes the buffered poses, each lane's
+        rendezvous pose (whose ``s`` its next cycle starts from) and all
+        their look-ahead points."""
         track = members[0].engine.track
-        state = np.array(
-            [
-                [
-                    lane.vehicle.state.pose.x,
-                    lane.vehicle.state.pose.y,
-                    lane.vehicle.state.pose.heading,
-                    lane.vehicle.state.lateral_velocity,
-                    lane.vehicle.state.yaw_rate,
-                ]
-                for lane in members
-            ]
+        ticks = np.array(
+            [min(lane.control_due, lane.n_steps) - lane.step for lane in members]
         )
-        speed = np.array([lane.vehicle.state.speed for lane in members])
-        steer = np.array([lane.vehicle.state.steer for lane in members])
-        target = np.array([lane.vehicle.target_speed for lane in members])
-        u = np.array([lane.current_u for lane in members])
-        hints = np.array([lane.s_hint for lane in members])
-        look = np.array([lane.engine.perception.lookahead for lane in members])
+        started = time.perf_counter()
+        buf = self._plant_ticks(members, params, dt, ticks)
+        # Lane-major rows: a lane's ticks in order, then its rendezvous
+        # pose again; the next lane's rows follow.
+        first = np.cumsum(ticks + 1) - (ticks + 1)
+        lane_of = np.repeat(np.arange(len(members)), ticks + 1)
+        nth = np.arange(lane_of.size) - first[lane_of]
+        rows = buf[np.minimum(nth + 1, ticks[lane_of]), lane_of]
+        n = rows.shape[0]
+        look = np.array([lane.engine.perception.lookahead for lane in members])[lane_of]
+        xs = np.concatenate((rows[:, 0], rows[:, 0] + look * np.cos(rows[:, 2])))
+        ys = np.concatenate((rows[:, 1], rows[:, 1] + look * np.sin(rows[:, 2])))
+        # A row chains from the row before it (a lane's first row from its
+        # s_hint), a look-ahead point from its row.
+        chain = np.where(nth == 0, -1, np.arange(-1, n - 1))
+        starts = np.array([lane.s_hint for lane in members])[lane_of]
+        s, d = self._project(
+            track, xs, ys, np.tile(starts, 2), np.concatenate((chain, np.arange(n)))
+        )
+        s, d, y_true = s[:n], d[:n], d[n:]
+        recorded = 0
+        for lane, lo, hi in zip(members, first, first + ticks):
+            lane.s_now = float(s[hi])
+            if hi > lo:  # no lane ticks on a run's first call
+                recorded += lane.record(dt, rows[lo:hi], s[lo:hi], d[lo:hi], y_true[lo:hi])
+        profiler = profiling.get_active()
+        if profiler is not None and recorded:
+            profiler.record("hil.plant", time.perf_counter() - started, count=recorded)
 
-        while True:
-            idxs = []
-            for j, lane in enumerate(members):
-                if not lane.active:
-                    continue
-                if lane.step >= lane.n_steps:
-                    lane.active = False
-                    continue
-                if lane.pending and lane.pending[0][0] <= lane.step:
-                    while lane.pending and lane.pending[0][0] <= lane.step:
-                        lane.current_u = lane.pending.pop(0)[1]
-                    u[j] = lane.current_u
-                if lane.step != lane.control_due:
-                    idxs.append(j)
-            if not idxs:
-                break
-            # Every lane ticking (always so at B=1) needs no gather.
-            sel = slice(None) if len(idxs) == len(members) else np.array(idxs)
-            with profile("hil.plant", count=len(idxs)):
-                new_state, new_speed, new_steer = Vehicle.step_batch(
-                    params, dt, state[sel], speed[sel], steer[sel], target[sel], u[sel]
-                )
-                s_now, d_now, y_true = self._project_batch(
-                    track, new_state, look[sel], hints[sel]
-                )
-            state[sel] = new_state
-            speed[sel] = new_speed
-            steer[sel] = new_steer
-            hints[sel] = s_now
-            for row, j in enumerate(idxs):
-                self._record_step(
-                    members[j],
-                    track,
-                    dt,
-                    s_now[row],
-                    d_now[row],
-                    y_true[row],
-                    new_steer[row],
-                    new_speed[row],
-                )
+    @staticmethod
+    def _plant_ticks(members: List[_Lane], params, dt: float, ticks) -> np.ndarray:
+        """The cohort's RK4 ticks, ``(ticks + 1, lanes, 7)``: row k holds
+        each lane's ``x, y, heading, v_y, r, speed, steer`` after tick k.
+
+        A queued command applies before its step's tick (with tau == h
+        it lands exactly when the next frame is taken), never before one
+        queued ahead of it; commands due at the rendezvous apply too.
+        """
+        buf = np.empty((ticks.max() + 1, len(members), 7))
+        u = np.empty((ticks.max(), len(members)))
         for j, lane in enumerate(members):
-            if lane.active:
-                self._write_state(lane, state[j], speed[j], steer[j])
+            state = lane.vehicle.state
+            pose = state.pose
+            buf[0, j] = (pose.x, pose.y, pose.heading, state.lateral_velocity,
+                         state.yaw_rate, state.speed, state.steer)
+            u[:, j] = lane.current_u
+            due = lane.step
+            while lane.pending and lane.pending[0][0] <= lane.step + ticks[j]:
+                apply_step, lane.current_u = lane.pending.pop(0)
+                due = max(due, apply_step)
+                u[due - lane.step :, j] = lane.current_u
+        target = np.array([lane.vehicle.target_speed for lane in members])
+        all_tick = ticks.min()
+        for k in range(ticks.max()):
+            # Every lane ticking (always so at B=1) needs no gather.
+            sel = slice(None) if k < all_tick else np.flatnonzero(ticks > k)
+            prev = buf[k]
+            state, speed, steer = Vehicle.step_batch(
+                params, dt, prev[sel, :5], prev[sel, 5], prev[sel, 6],
+                target[sel], u[k, sel],
+            )
+            buf[k + 1, sel, :5] = state
+            buf[k + 1, sel, 5] = speed
+            buf[k + 1, sel, 6] = steer
+        return buf
 
     @staticmethod
-    def _project_batch(
-        track: Track, state: np.ndarray, look: np.ndarray, hints: np.ndarray
-    ):
-        """Stacked pose + look-ahead Frenet projections for one tick."""
-        s_now, d_now = track.frenet_batch(state[:, 0], state[:, 1], hints)
-        look_x = state[:, 0] + look * np.cos(state[:, 2])
-        look_y = state[:, 1] + look * np.sin(state[:, 2])
-        _, y_true = track.frenet_batch(look_x, look_y, s_now)
-        return s_now, d_now, y_true
-
-    @staticmethod
-    def _record_step(
-        lane: _Lane,
-        track: Track,
-        dt: float,
-        s_now,
-        d_now,
-        y_true,
-        steer,
-        speed,
-    ) -> None:
-        """Per-lane trace write + crash/finish checks of one plant step."""
-        rec = lane.recorded
-        lane.times[rec] = (lane.step + 1) * dt
-        lane.s_arr[rec] = s_now
-        lane.d_arr[rec] = d_now
-        lane.y_arr[rec] = y_true
-        lane.steer_arr[rec] = steer
-        lane.speed_arr[rec] = speed
-        lane.recorded += 1
-        lane.step += 1
-        lane.s_hint = float(s_now)
-        cfg = lane.engine.config
-        if abs(d_now) > cfg.crash_offset_m:
-            lane.crashed = True
-            lane.crash_s = float(s_now)
-            lane.active = False
-        elif s_now >= track.length - cfg.end_margin_m:
-            lane.completed = True
-            lane.active = False
-
-    @staticmethod
-    def _write_state(lane: _Lane, row: np.ndarray, speed, steer) -> None:
-        """Materialize a lane's stacked plant state back onto its vehicle."""
-        lane.vehicle.state = VehicleState(
-            pose=Pose2D(float(row[0]), float(row[1]), float(row[2])),
-            lateral_velocity=float(row[3]),
-            yaw_rate=float(row[4]),
-            steer=float(steer),
-            speed=float(speed),
-        )
+    def _project(track: Track, xs, ys, starts, source):
+        """``(s, d)`` of every point, bit for bit its tick-by-tick chain: a
+        point is hinted with the ``s`` of its *source* point, or with its
+        start hint where *source* is negative (see the module docstring)."""
+        head = source < 0
+        hints, slots = starts, track.hint_slots(starts)
+        while True:
+            s, d = track.frenet_batch(xs, ys, hints)
+            chained = np.where(head, starts, s[source])
+            chained_slots = track.hint_slots(chained)
+            if np.array_equal(chained_slots, slots):
+                return s, d
+            hints, slots = chained, chained_slots
 
     def _run_cycles(self, due: List[_Lane]) -> None:
         """Run one sensing+control cycle for every due lane, batched."""
         pres = [
             lane.engine._cycle_begin(
-                self._t_ms(lane), lane.vehicle.state, lane.s_hint
+                self._t_ms(lane), lane.vehicle.state, lane.s_now
             )
             for lane in due
         ]

@@ -274,16 +274,15 @@ class HilEngine:
         estimator.update(measurement)
         return estimator.filtered_measurement(curvature=measurement.curvature)
 
-    def _cycle_begin(self, t_ms, state, s_hint) -> _CyclePre:
+    def _cycle_begin(self, t_ms, state, s_now) -> _CyclePre:
         """Phase 1 of a cycle: situate, open the cycle, roll frame drop.
 
-        The lock-step engine runs this per lane before grouping lanes
-        for the batched sensing kernels; each lane's operations keep
-        their order whatever the batch, so traces stay bit-identical.
+        The lock-step engine runs this per lane, with the *s_now* it
+        projected, before grouping lanes for the batched sensing
+        kernels; each lane's operations keep their order whatever the
+        batch, so traces stay bit-identical.
         """
-        track = self.track
-        s_now, _ = track.frenet(state.pose.x, state.pose.y, s_hint=s_hint)
-        true_situation = track.situation_at(s_now)
+        true_situation = self.track.situation_at(s_now)
 
         active_isp, invoked = self.manager.begin_cycle(t_ms)
         # One lookup per cycle: with telemetry disabled every hook below

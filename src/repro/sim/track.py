@@ -260,7 +260,7 @@ class Track:
         self._line_normals = lines[:, :2].T.copy()
         self._line_offsets = lines[:, 2].copy()
         #: Interior bounds: ``searchsorted(..., "right")`` on them is
-        #: :meth:`segment_index_at`, clamping included.
+        #: :meth:`hint_slots`, the segment index, clamping included.
         self._s_interior = self._s_bounds[1:-1].copy()
         #: The :meth:`_candidate_segments` window of each segment index
         #: as three slots; slots past the window's end repeat its last
@@ -320,8 +320,7 @@ class Track:
 
     def segment_index_at(self, s) -> np.ndarray:
         """Index of the segment containing arc length *s* (clamped)."""
-        idx = np.searchsorted(self._s_bounds, np.asarray(s, dtype=float), "right") - 1
-        return np.clip(idx, 0, len(self.segments) - 1)
+        return self.hint_slots(np.asarray(s, dtype=float))
 
     def curvature_at(self, s) -> np.ndarray:
         """Centerline curvature at arc length *s* (vectorized)."""
@@ -373,6 +372,11 @@ class Track:
         assert best is not None
         return best
 
+    def hint_slots(self, s_hints) -> np.ndarray:
+        """The slot of each hint's :meth:`frenet_batch` window, its segment
+        index: two hints in one slot project a point to the same bits."""
+        return self._s_interior.searchsorted(s_hints, "right")
+
     def frenet_batch(
         self, xs: np.ndarray, ys: np.ndarray, s_hints: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -393,7 +397,7 @@ class Track:
         # broadcasting machinery, which dominates at small K.
         xs = np.repeat(np.asarray(xs, dtype=float), 3)
         ys = np.repeat(np.asarray(ys, dtype=float), 3)
-        window = self._windows[self._s_interior.searchsorted(s_hints, "right")].ravel()
+        window = self._windows[self.hint_slots(s_hints)].ravel()
         (sx, sy, tx, ty, nx, ny, cx, cy, angle0, curvature, radius, sign,
          lo, hi, s_start, is_arc) = self._seg_table[:, window]
 

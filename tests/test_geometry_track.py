@@ -266,6 +266,33 @@ class TestFrenetBatch:
             assert s_ref == bs[i]
             assert d_ref == bd[i]
 
+    def test_hints_in_one_slot_project_alike(self):
+        """A projection depends on its hint only through ``hint_slots``:
+        any other hint in the same slot, the slot's start bound and the
+        off-track ends included, gives the same ``(s, d)`` bits."""
+        track = self._mixed_track()
+        rng = np.random.default_rng(4)
+        n = 400
+        ss = rng.uniform(0.0, track.length, n)
+        xs = np.empty(n)
+        ys = np.empty(n)
+        for i, s in enumerate(ss):
+            pose = track.pose_at(s, rng.normal() * 1.5)
+            xs[i], ys[i] = pose.x, pose.y
+        hints = ss + rng.normal(0.0, 3.0, n)
+        slots = track.hint_slots(hints)
+        lo = np.array([seg.s_start for seg in track.segments])[slots]
+        hi = np.array([seg.s_end for seg in track.segments])[slots]
+        lo[slots == 0] = -10.0
+        hi[slots == len(track.segments) - 1] = track.length + 10.0
+        others = rng.uniform(lo, hi)
+        others[::4] = lo[::4]
+        assert np.array_equal(track.hint_slots(others), slots)
+        s_a, d_a = track.frenet_batch(xs, ys, hints)
+        s_b, d_b = track.frenet_batch(xs, ys, others)
+        assert s_a.tobytes() == s_b.tobytes()
+        assert d_a.tobytes() == d_b.tobytes()
+
     def test_hints_off_the_track_clamp_like_scalar(self):
         """Hints before the start or past the end pick the end windows."""
         track = self._mixed_track()

@@ -131,6 +131,17 @@ class TestHilEngine:
         assert result.profile["hil.plant"].count == len(result.time_s)
         assert result.profile["hil.decide"].count == len(result.cycles)
 
+    def test_profile_spans_every_recorded_plant_step_of_a_crash(self):
+        """The ticks a crashing interval steps past the crash are not
+        recorded, and the ``hil.plant`` span does not count them."""
+        result, _ = _run(
+            "case1", initial_offset_m=1.9, initial_heading_err=0.15, profile=True
+        )
+        assert result.crashed
+        # The crash lands mid-interval (case 1 steps 5 ticks per cycle).
+        assert len(result.time_s) % 5 != 0
+        assert result.profile["hil.plant"].count == len(result.time_s)
+
     def test_profile_splits_perception_into_substages(self):
         result, _ = _run("case4", length=60.0, profile=True)
         pr = result.profile["hil.pr"].count
