@@ -4,9 +4,12 @@ Entries live under ``root/<k[:2]>/<k[2:4]>/<k>.npz`` where ``k`` is the
 content address from :func:`repro.cache.keys.rollout_key`; two-level
 hash-prefix sharding keeps directory fan-out bounded for large sweeps.
 Each entry is the exact archive :meth:`repro.hil.record.HilResult.save`
-writes — arrays, cycle records and the telemetry manifest — plus an
-embedded copy of the key document, so :meth:`RolloutCache.verify` can
-re-hash any entry without knowing how it was produced.
+writes: two members, ``trace`` (the trace arrays as one float64 vector)
+and ``record_json`` (outcome flags, cycle rows and the telemetry
+manifest as one JSON document), with the key document embedded in the
+record, so :meth:`RolloutCache.verify` can re-hash any entry without
+knowing how it was produced.  Entries in the older one-member-per-field
+layout load and verify the same way.
 
 Writes are atomic (``mkstemp`` + :func:`os.replace`, the
 ``ArtifactCache`` pattern), so concurrent writers of one key each
@@ -27,8 +30,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
 
 from repro.cache.keys import rollout_key
 from repro.utils.cache import _LOAD_ERRORS, _STALE_TMP_AGE_S, default_cache_dir
@@ -284,20 +285,26 @@ class RolloutCache:
         """Re-hash every entry against its embedded key document.
 
         Returns ``(checked, problems)``: an entry is a problem when it
-        is unreadable, lacks an embedded key, re-hashes to a different
-        address than its file name, or sits in the wrong shard.  An
-        empty ``problems`` list means the store is self-consistent.
+        is unreadable (including a record that does not load, which
+        :meth:`load` would count as a miss), lacks an embedded key,
+        re-hashes to a different address than its file name, or sits
+        in the wrong shard.  An empty ``problems`` list means the store
+        is self-consistent.
         """
+        from repro.hil.record import HilResult, load_extras
+
         problems: List[str] = []
         checked = 0
         for path in self.entries():
             checked += 1
             try:
-                with np.load(path, allow_pickle=False) as data:
-                    if "cache_key_json" not in data.files:
-                        problems.append(f"{path}: no embedded cache key")
-                        continue
-                    document = json.loads(str(data["cache_key_json"][()]))
+                extras = load_extras(path)
+                if "cache_key_json" not in extras:
+                    problems.append(f"{path}: no embedded cache key")
+                    continue
+                document = json.loads(extras["cache_key_json"])
+                # A key that verifies is only useful on an entry that loads.
+                HilResult.load(path)
             except _LOAD_ERRORS as exc:
                 problems.append(f"{path}: unreadable ({exc})")
                 continue

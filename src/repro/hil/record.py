@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from repro.metrics.qoc import mae
 from repro.sim.track import Track
 from repro.utils.profiling import StageStats, format_stage_table
 
-__all__ = ["CycleRecord", "HilResult", "SectorQoC"]
+__all__ = ["CycleRecord", "HilResult", "SectorQoC", "load_extras"]
 
 
 @dataclass
@@ -39,6 +40,59 @@ class CycleRecord:
     #: Kind strings of the fault specs active during this cycle
     #: (empty without a fault plan — see repro.faults).
     faults: tuple = ()
+
+
+#: Field order of a saved cycle row.
+_CYCLE_FIELDS = tuple(f.name for f in fields(CycleRecord))
+#: The trace arrays, in the order they are concatenated on disk.
+_TRACE_ARRAYS = ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed")
+#: What is not an ``extra_json`` entry: the record document's own keys
+#: and the members of the older one-member-per-field layout.
+_RECORD_KEYS = frozenset(
+    ("crashed", "crash_s", "completed", "lengths", "fields", "cycles", "manifest")
+)
+_LEGACY_MEMBERS = frozenset(
+    _TRACE_ARRAYS + ("crashed", "crash_s", "completed", "cycles_json", "manifest_json")
+)
+
+
+def _read_record(data) -> Tuple[Dict[str, object], np.ndarray]:
+    """The record document and trace vector of an open entry."""
+    if "record_json" in data.files:
+        return json.loads(data["record_json"].tobytes()), data["trace"]
+    # The one-member-per-field layout written before the record document.
+    arrays = [data[name] for name in _TRACE_ARRAYS]
+    record = {
+        name: str(data[name][()]) for name in data.files if name not in _LEGACY_MEMBERS
+    }
+    crash_s = float(data["crash_s"])
+    cycles = []
+    for cycle in json.loads(str(data["cycles_json"])):
+        # Cycles saved before the fault subsystem lack these two fields.
+        cycle = {"degraded": False, "faults": [], **cycle}
+        cycles.append([cycle[name] for name in _CYCLE_FIELDS])
+    record.update(
+        crashed=bool(data["crashed"]),
+        crash_s=None if np.isnan(crash_s) else crash_s,
+        completed=bool(data["completed"]),
+        lengths=[values.size for values in arrays],
+        fields=list(_CYCLE_FIELDS),
+        cycles=cycles,
+        # Absent in traces saved before the telemetry subsystem.
+        manifest=(
+            json.loads(str(data["manifest_json"]))
+            if "manifest_json" in data.files
+            else None
+        ),
+    )
+    return record, np.concatenate(arrays)
+
+
+def load_extras(path: str) -> Dict[str, str]:
+    """The ``extra_json`` entries a saved result carries, either layout."""
+    with np.load(path, allow_pickle=False) as data:
+        record, _ = _read_record(data)
+    return {k: v for k, v in record.items() if k not in _RECORD_KEYS}
 
 
 @dataclass
@@ -132,7 +186,15 @@ class HilResult:
     def save(
         self, path: str, *, extra_json: Optional[Dict[str, str]] = None
     ) -> Path:
-        """Persist the trace to ``.npz`` (cycle records as JSON inside).
+        """Persist the trace to a two-member ``.npz``.
+
+        ``trace`` holds the six trace arrays concatenated into one
+        float64 vector.  ``record_json`` is one UTF-8 JSON document
+        (stored as uint8): ``crashed``, ``crash_s``, ``completed``, the
+        six array ``lengths`` that split ``trace`` back apart, the
+        :class:`CycleRecord` field names once with one row per cycle,
+        and the manifest.  Every ``.npz`` member costs a zip lookup and
+        a header parse, so two members keep a cache hit cheap.
 
         Useful for offline analysis of long runs without re-simulating.
         The write is atomic (temp file + :func:`os.replace`, the
@@ -141,36 +203,35 @@ class HilResult:
         exactly the file written, with the ``.npz`` suffix applied up
         front rather than appended behind our back by ``np.savez``.
 
-        ``extra_json`` attaches additional JSON-string members to the
-        archive (e.g. the cache-key document :mod:`repro.cache` embeds
-        for ``verify``); :meth:`load` ignores members it does not know,
-        so extras never change the loaded result.
+        ``extra_json`` adds JSON-string entries to the record document
+        (e.g. the cache-key document :mod:`repro.cache` embeds for
+        ``verify``; read them back with :func:`load_extras`).
+        :meth:`load` ignores them, so extras never change the loaded
+        result.
         """
         target = Path(path)
         if target.suffix != ".npz":
             target = target.with_suffix(target.suffix + ".npz")
-        payload = {
-            "time_s": self.time_s,
-            "s": self.s,
-            "lateral_offset": self.lateral_offset,
-            "y_l_true": self.y_l_true,
-            "steering": self.steering,
-            "speed": self.speed,
-            "crashed": np.array(self.crashed),
-            "crash_s": np.array(
-                np.nan if self.crash_s is None else self.crash_s
-            ),
-            "completed": np.array(self.completed),
-            "cycles_json": np.array(
-                json.dumps([asdict(c) for c in self.cycles])
-            ),
+        arrays = [getattr(self, name) for name in _TRACE_ARRAYS]
+        record = {
+            "crashed": bool(self.crashed),
+            "crash_s": self.crash_s,
+            "completed": bool(self.completed),
+            "lengths": [len(values) for values in arrays],
+            "fields": list(_CYCLE_FIELDS),
+            "cycles": [
+                [getattr(c, name) for name in _CYCLE_FIELDS] for c in self.cycles
+            ],
+            "manifest": self.manifest,
         }
-        if self.manifest is not None:
-            payload["manifest_json"] = np.array(json.dumps(self.manifest))
         for name, blob in (extra_json or {}).items():
-            if name in payload:
-                raise ValueError(f"extra_json key shadows a trace member: {name!r}")
-            payload[name] = np.array(blob)
+            if name in record:
+                raise ValueError(f"extra_json key shadows a record key: {name!r}")
+            record[name] = blob
+        payload = {
+            "trace": np.concatenate(arrays, dtype=np.float64),
+            "record_json": np.frombuffer(json.dumps(record).encode(), np.uint8),
+        }
         fd, tmp_name = tempfile.mkstemp(
             dir=str(target.parent), suffix=".npz.tmp"
         )
@@ -189,41 +250,34 @@ class HilResult:
 
     @classmethod
     def load(cls, path: str) -> "HilResult":
-        """Inverse of :meth:`save`."""
+        """Inverse of :meth:`save`; also reads the older layout.
+
+        A record whose ``lengths`` do not split ``trace`` or whose rows
+        do not fit :class:`CycleRecord` raises :class:`ValueError`, so
+        a cache treats it like any corrupt entry.
+        """
         with np.load(path, allow_pickle=False) as data:
-            cycles = [
-                CycleRecord(
-                    **{
-                        **c,
-                        "invoked": tuple(c["invoked"]),
-                        # Absent in traces saved before the fault
-                        # subsystem existed; default to clean cycles.
-                        "faults": tuple(c.get("faults", ())),
-                        "degraded": bool(c.get("degraded", False)),
-                    }
-                )
-                for c in json.loads(str(data["cycles_json"]))
-            ]
-            crash_s = float(data["crash_s"])
-            manifest = (
-                json.loads(str(data["manifest_json"]))
-                # Absent in traces saved before the telemetry subsystem.
-                if "manifest_json" in data.files
-                else None
-            )
-            return cls(
-                time_s=data["time_s"],
-                s=data["s"],
-                lateral_offset=data["lateral_offset"],
-                y_l_true=data["y_l_true"],
-                steering=data["steering"],
-                speed=data["speed"],
-                cycles=cycles,
-                crashed=bool(data["crashed"]),
-                crash_s=None if np.isnan(crash_s) else crash_s,
-                completed=bool(data["completed"]),
-                manifest=manifest,
-            )
+            record, trace = _read_record(data)
+        lengths, rows = record["lengths"], record["cycles"]
+        if len(lengths) != len(_TRACE_ARRAYS) or min(lengths) < 0 or sum(lengths) != trace.size:
+            raise ValueError(f"lengths {lengths} do not split {trace.size} samples")
+        width = len(_CYCLE_FIELDS)
+        if record["fields"] != list(_CYCLE_FIELDS) or any(len(r) != width for r in rows):
+            raise ValueError("cycle rows do not match the CycleRecord fields")
+        cycles = [CycleRecord(*row) for row in rows]
+        for cycle in cycles:
+            cycle.invoked, cycle.faults = tuple(cycle.invoked), tuple(cycle.faults)
+        return cls(
+            **{
+                name: trace[end - n : end]
+                for name, n, end in zip(_TRACE_ARRAYS, lengths, accumulate(lengths))
+            },
+            cycles=cycles,
+            crashed=record["crashed"],
+            crash_s=record["crash_s"],
+            completed=record["completed"],
+            manifest=record["manifest"],
+        )
 
     def sector_qoc(self, track: Track, skip_distance_m: float = 0.0) -> List[SectorQoC]:
         """Aggregate QoC per track sector (Fig. 8).

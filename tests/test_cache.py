@@ -12,6 +12,7 @@ identity.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -78,6 +79,37 @@ def tiny_document(entry: int) -> dict:
     return {"schema": 1, "kernel": "test", "entry": entry}
 
 
+def save_legacy(result: HilResult, path, document: dict) -> None:
+    """Write *result* in the one-member-per-field layout of older stores."""
+    np.savez(
+        path,
+        time_s=result.time_s,
+        s=result.s,
+        lateral_offset=result.lateral_offset,
+        y_l_true=result.y_l_true,
+        steering=result.steering,
+        speed=result.speed,
+        crashed=np.array(result.crashed),
+        crash_s=np.array(np.nan if result.crash_s is None else result.crash_s),
+        completed=np.array(result.completed),
+        cycles_json=np.array(
+            json.dumps([dataclasses.asdict(c) for c in result.cycles])
+        ),
+        manifest_json=np.array(json.dumps(result.manifest)),
+        cache_key_json=np.array(json.dumps(document, sort_keys=True)),
+    )
+
+
+def rewrite_record(path, mutate) -> None:
+    """Re-save a two-member entry after *mutate* edits its record dict."""
+    with np.load(path) as data:
+        trace = data["trace"]
+        record = json.loads(data["record_json"].tobytes())
+    mutate(record)
+    blob = np.frombuffer(json.dumps(record).encode(), np.uint8)
+    np.savez(path, trace=trace, record_json=blob)
+
+
 # ---------------------------------------------------------------------------
 # store unit behaviour
 
@@ -118,6 +150,45 @@ class TestRolloutCacheStore:
         checked, problems = store.verify()
         assert checked == 1 and len(problems) == 1
         assert "unreadable" in problems[0]
+
+    # tiny_result(3) has 4 samples per array, so [-1, 9] keeps the sum.
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda record: record["lengths"].__setitem__(0, record["lengths"][0] + 1),
+            lambda record: record["lengths"].__setitem__(slice(0, 2), [-1, 9]),
+            lambda record: record["cycles"][0].pop(),
+            lambda record: record["fields"].reverse(),
+        ],
+        ids=["lengths-overrun", "negative-length", "row-arity", "field-order"],
+    )
+    def test_malformed_record_is_a_miss_and_a_verify_problem(self, tmp_path, mutate):
+        store = RolloutCache(tmp_path, enabled=True, count_global=False)
+        path = store.store(tiny_document(3), tiny_result(3))
+        rewrite_record(path, mutate)
+        assert store.load(tiny_document(3)) is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
+        checked, problems = store.verify()
+        assert checked == 1 and len(problems) == 1
+        assert "unreadable" in problems[0]
+
+    def test_new_and_legacy_entries_verify_and_load_bit_identically(self, tmp_path):
+        """A store written before the two-member layout stays warm."""
+        store = RolloutCache(tmp_path, enabled=True, count_global=False)
+        fresh = store.store(tiny_document(1), tiny_result(1))
+        legacy = store.path_for(rollout_key(tiny_document(2)))
+        legacy.parent.mkdir(parents=True)
+        save_legacy(tiny_result(2), legacy, tiny_document(2))
+        with np.load(fresh) as data:
+            assert sorted(data.files) == ["record_json", "trace"]
+        with np.load(legacy) as data:
+            assert "cycles_json" in data.files and "record_json" not in data.files
+        assert store.verify() == (2, [])
+        for entry in (1, 2):
+            loaded, expected = store.load(tiny_document(entry)), tiny_result(entry)
+            _assert_same_trace(loaded, expected)
+            assert (loaded.crash_s, loaded.manifest) == (expected.crash_s, expected.manifest)
+        assert store.stats.hits == 2 and store.stats.misses == 0
 
     def test_verify_catches_entry_in_wrong_shard(self, tmp_path):
         store = RolloutCache(tmp_path, enabled=True, count_global=False)

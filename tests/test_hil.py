@@ -6,6 +6,9 @@ default fidelity is exercised by the benchmarks.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,10 @@ from repro.hil.record import HilResult
 from repro.sim.geometry import Pose2D
 from repro.sim.track import SectorSpec, Track
 from repro.sim.world import fig7_track, static_situation_track
+from tests.golden_corpus import CORPUS, GOLDEN_DIR
 
 FAST = dict(frame_width=192, frame_height=96)
+TRACE_FIELDS = ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed")
 
 
 def _run(case: str, sit_index: int = 1, length: float = 80.0, **kwargs):
@@ -338,6 +343,72 @@ class TestTraceSerialization:
         assert loaded.manifest == result.manifest
         # profile is ephemeral observability data, never persisted.
         assert loaded.profile is None
+
+    def test_saved_result_has_exactly_two_members(self, tmp_path):
+        result, _ = _run("case2", length=60.0)
+        path = result.save(str(tmp_path / "two.npz"))
+        with np.load(path) as data:
+            assert sorted(data.files) == ["record_json", "trace"]
+            assert data["trace"].dtype == np.float64
+            assert data["record_json"].dtype == np.uint8
+            assert data["trace"].size == 6 * result.time_s.size
+
+    def test_extra_json_shadowing_a_record_key_raises(self, tmp_path):
+        result, _ = _run("case2", length=60.0)
+        for key in ("cycles", "lengths", "manifest"):
+            with pytest.raises(ValueError, match="shadows"):
+                result.save(str(tmp_path / "x.npz"), extra_json={key: "[]"})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_committed_golden_loads_through_the_legacy_branch(self, name, tmp_path):
+        """The goldens predate the two-member layout; they load byte-equal
+        and survive a re-save in the current layout unchanged."""
+        golden = GOLDEN_DIR / f"{name}.npz"
+        with np.load(golden) as data:
+            assert "record_json" not in data.files
+            raw = {k: data[k] for k in data.files}
+        loaded = HilResult.load(str(golden))
+        for field in TRACE_FIELDS:
+            assert getattr(loaded, field).tobytes() == raw[field].tobytes()
+        assert [dataclasses.asdict(c) for c in loaded.cycles] == [
+            {**c, "invoked": tuple(c["invoked"]), "faults": tuple(c["faults"])}
+            for c in json.loads(str(raw["cycles_json"]))
+        ]
+        assert loaded.manifest == json.loads(str(raw["manifest_json"]))
+        assert (loaded.crashed, loaded.completed) == (raw["crashed"], raw["completed"])
+
+        again = HilResult.load(str(loaded.save(str(tmp_path / "again.npz"))))
+        for field in TRACE_FIELDS:
+            assert getattr(again, field).tobytes() == raw[field].tobytes()
+        assert again.cycles == loaded.cycles
+        assert again.manifest == loaded.manifest
+        assert (again.crashed, again.crash_s, again.completed) == (
+            loaded.crashed, loaded.crash_s, loaded.completed,
+        )
+
+    def test_legacy_file_without_fault_fields_defaults_them(self, tmp_path):
+        """Traces saved before the fault subsystem lack degraded/faults."""
+        cycle = {
+            "time_ms": 0.0, "s": 0.0, "active_isp": "S0", "roi": "ROI 1",
+            "speed_kmph": 50.0, "period_ms": 40.0, "delay_ms": 36.0,
+            "invoked": ["isp"], "measurement_valid": True,
+            "y_l_measured": 0.1, "steering": 0.0,
+        }
+        path = tmp_path / "old.npz"
+        np.savez(
+            path,
+            **{field: np.arange(3.0) for field in TRACE_FIELDS},
+            crashed=np.array(True),
+            crash_s=np.array(2.5),
+            completed=np.array(False),
+            cycles_json=np.array(json.dumps([cycle])),
+        )
+        loaded = HilResult.load(str(path))
+        assert loaded.cycles[0].degraded is False
+        assert loaded.cycles[0].faults == ()
+        assert loaded.cycles[0].invoked == ("isp",)
+        assert (loaded.crashed, loaded.crash_s, loaded.manifest) == (True, 2.5, None)
 
     def test_save_persists_the_run_manifest(self, tmp_path):
         result, _ = _run("case2", length=60.0)
