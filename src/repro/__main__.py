@@ -11,8 +11,7 @@ train          train / load the three situation classifiers (Table IV)
 sensitivity    Monte-Carlo knob-sensitivity study (Sec. III-B)
 report         regenerate every paper artifact into a markdown report
 trace          inspect / diff telemetry event streams (JSONL)
-lint           project static analysis (reprolint) over a file set
-graph          whole-program import graph and API lockfile
+lint           static checks on the fixed points (reprolint)
 
 The simulation commands are thin wrappers over :mod:`repro.api` — the
 same keyword-only facade scripts are expected to use.
@@ -281,134 +280,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _doc_excerpt(cls) -> str:
-    """First line of a rule class docstring (its one-line summary)."""
-    doc = (cls.__doc__ or "").strip()
-    return doc.splitlines()[0].strip() if doc else cls.description
-
-
-def _list_rules() -> int:
-    from repro.analysis import all_rules_by_id, project_rules_by_id
-
-    project = set(project_rules_by_id())
-    for rule_id, cls in sorted(all_rules_by_id().items()):
-        scope = "project" if rule_id in project else "file"
-        print(f"{rule_id}  {cls.name:22s} [{cls.severity:7s}] ({scope})")
-        print(f"        {_doc_excerpt(cls)}")
-    return 0
-
-
-def _resolve_package_dir(config, paths, base=None):
-    """The package tree a project pass should analyse.
-
-    An explicit path wins; otherwise the first package under the config
-    root's ``src/`` layout (for this repo: ``src/repro``).
-    """
-    from pathlib import Path
-
-    if paths:
-        return Path(paths[0])
-    if base is None:
-        base = Path(config.root) if config.root else Path.cwd()
-    src = base / "src"
-    if src.is_dir():
-        packages = sorted(
-            entry for entry in src.iterdir()
-            if (entry / "__init__.py").is_file()
-        )
-        if packages:
-            return packages[0]
-    return base
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-    from pathlib import Path
-
-    from repro.analysis import LintEngine, load_config
-
-    if args.list_rules:
-        return _list_rules()
-    base = load_config(Path(args.paths[0]) if args.paths else None)
-    config = replace(
-        base,
-        select=tuple(args.select.split(",")) if args.select else base.select,
-        ignore=tuple(args.ignore.split(",")) if args.ignore else base.ignore,
-    )
-    try:
-        engine = LintEngine(config)
-    except ValueError as exc:
-        print(f"reprolint: {exc}", file=sys.stderr)
-        return 2
-    if args.project:
-        report = engine.lint_project(_resolve_package_dir(config, args.paths))
-    else:
-        report = engine.lint_paths(args.paths or ["src/repro"])
-    print(report.render_json() if args.format == "json" else report.render_text())
-    return report.exit_code()
-
-
-def _cmd_graph(args: argparse.Namespace) -> int:
-    import json as json_module
-    from pathlib import Path
-
-    from repro.analysis import LintEngine, load_config
-    from repro.analysis.surface import extract_api_surface, write_lockfile
-
-    root = Path(args.root) if args.root else None
-    config = load_config(root)
-    package_dir = _resolve_package_dir(config, [], base=root)
-    engine = LintEngine(config)
-    graph, report = engine.build_graph(package_dir)
-    if report.crashed:
-        print(report.render_text(), file=sys.stderr)
-        return 2
+    from repro.analysis import lint_paths, write_lockfile
 
     if args.update_lockfile:
-        surface, _ = extract_api_surface(graph.package_dir)
-        base = Path(config.root) if config.root else graph.package_dir.parent
-        lock_path = base / config.lockfile
-        changed = write_lockfile(lock_path, surface)
-        print(f"{lock_path}: {'updated' if changed else 'up to date'}")
+        path, changed = write_lockfile((args.paths or ["src/repro"])[0])
+        print(f"{path}: {'updated' if changed else 'up to date'}")
         return 0
-
-    layer_deps = {}
-    for (src, dst), sites in graph.layer_edges().items():
-        layer_deps.setdefault(src, set()).add(dst)
-    if args.dot:
-        print(f'digraph "{graph.package_name}" {{')
-        for src in sorted(layer_deps):
-            for dst in sorted(layer_deps[src]):
-                print(f'  "{src}" -> "{dst}";')
-        print("}")
-    elif args.json:
-        imports_by_module = {}
-        for info, target, _record in graph.internal_edges():
-            imports_by_module.setdefault(info.name, set()).add(target)
-        document = {
-            "package": graph.package_name,
-            "modules": {
-                name: {
-                    "layer": info.layer,
-                    "path": info.path,
-                    "imports": sorted(imports_by_module.get(name, ())),
-                }
-                for name, info in sorted(graph.modules.items())
-            },
-            "layers": {
-                src: sorted(layer_deps[src]) for src in sorted(layer_deps)
-            },
-        }
-        print(json_module.dumps(document, indent=2, sort_keys=True))
-    else:
-        edges = graph.internal_edges()
-        print(
-            f"{graph.package_name}: {len(graph.modules)} modules, "
-            f"{len(edges)} internal import edges"
-        )
-        for src in sorted(layer_deps):
-            print(f"  {src} -> {', '.join(sorted(layer_deps[src]))}")
-    return 0
+    report = lint_paths(args.paths or ["src/repro"])
+    print(report.render_text())
+    return report.exit_code()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,31 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.set_defaults(func=_cmd_trace)
 
-    p_lint = sub.add_parser("lint", help="project static analysis (reprolint)")
-    p_lint.add_argument("paths", nargs="*", help="files/directories (default src/repro)")
-    p_lint.add_argument("--format", choices=["text", "json"], default="text")
-    p_lint.add_argument("--select", default="", help="comma list of rule ids to run")
-    p_lint.add_argument("--ignore", default="", help="comma list of rule ids to skip")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="print the rule registry and exit")
-    p_lint.add_argument("--project", action="store_true",
-                        help="run the whole-program pass (import graph, "
-                             "architecture contract, dead code, API lockfile)")
+    p_lint = sub.add_parser(
+        "lint", help="static checks on the fixed points (reprolint)")
+    p_lint.add_argument("paths", nargs="*",
+                        help="files/directories (default src/repro)")
+    p_lint.add_argument("--update-lockfile", action="store_true",
+                        help="rewrite api_surface.json from the package "
+                             "directory (the first path) and exit")
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_graph = sub.add_parser(
-        "graph", help="whole-program import graph and API lockfile")
-    p_graph.add_argument("--root", default="",
-                         help="project root (default: discovered from cwd)")
-    mode = p_graph.add_mutually_exclusive_group()
-    mode.add_argument("--dot", action="store_true",
-                      help="emit the layer dependency graph as Graphviz dot")
-    mode.add_argument("--json", action="store_true",
-                      help="emit modules, layers, and import edges as JSON")
-    mode.add_argument("--update-lockfile", action="store_true",
-                      help="regenerate the public-API lockfile "
-                           "(api_surface.json) and exit")
-    p_graph.set_defaults(func=_cmd_graph)
 
     return parser
 

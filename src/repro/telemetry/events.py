@@ -1,11 +1,10 @@
 """The telemetry event schema: names, required fields, schema version.
 
 Every event emitted through :class:`repro.telemetry.TelemetryRecorder`
-must use one of the constants below — the ``OBS001`` project lint rule
-rejects literal event strings at emit sites, so renaming an event is a
-single-file change and the trace diff tool can rely on a closed set of
-names.  :data:`EVENT_SCHEMA` maps each name to the fields an emit must
-provide; the recorder validates both at runtime.
+uses one of the constants below, so renaming an event is a single-file
+change and the trace diff tool can rely on a closed set of names.
+:data:`EVENT_SCHEMA` maps each name to the fields an emit must provide;
+the recorder validates both at runtime.
 
 Bump :data:`SCHEMA_VERSION` whenever an event gains/loses required
 fields or changes meaning; every persisted trace line carries the

@@ -59,7 +59,7 @@ class TelemetryRecorder:
 
         Unknown names and missing required fields raise
         :class:`ValueError` — an unregistered event would be invisible
-        to ``trace --diff`` consumers and to the ``OBS001`` lint gate.
+        to ``trace --diff`` consumers.
         """
         required = EVENT_SCHEMA.get(event)
         if required is None:

@@ -1,15 +1,14 @@
 """Lightweight runtime contracts for hot array boundaries.
 
 This module lives in :mod:`repro.utils` so that every layer — including
-:mod:`repro.metrics`, whose architecture contract allows it to import
-nothing but ``utils`` — can guard its boundaries without coupling to the
-analysis subsystem.  :mod:`repro.analysis.contracts` re-exports these
-names for backward compatibility.
+:mod:`repro.metrics`, which imports nothing but ``utils`` — can guard
+its boundaries without coupling to the linter.
 
-The static rules catch structural mistakes; these decorators catch the
-dynamic ones — a frame with the wrong rank reaching the perception
-pipeline, a NaN leaking out of the NN forward pass — *at the call
-site*, instead of as a cryptic downstream numpy error.
+The static checks (:mod:`repro.analysis`) catch structural mistakes;
+these decorators catch the dynamic ones — a frame with the wrong rank
+reaching the perception pipeline, a NaN leaking out of the NN forward
+pass — *at the call site*, instead of as a cryptic downstream numpy
+error.
 
 Contracts are **on by default** (so every test run checks them) and
 compile to nothing when disabled: with ``REPRO_CONTRACTS=0`` in the

@@ -230,7 +230,7 @@ def _run_one(fn: Callable[[T], R], item: T, index: int) -> Union[R, TaskFailure]
         return fn(item)
     # Crash isolation is the contract here: any failure becomes a
     # recorded TaskFailure and the sweep continues.
-    except Exception as exc:  # reprolint: disable=EXC001
+    except Exception as exc:
         return TaskFailure(index=index, item=item, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -389,7 +389,7 @@ def parallel_map(
             break
         # Same crash-isolation contract for errors raised on the
         # submission side (e.g. an unpicklable work item).
-        except Exception as exc:  # reprolint: disable=EXC001
+        except Exception as exc:
             results[i] = _seen(
                 TaskFailure(
                     index=i, item=items[i], error=f"{type(exc).__name__}: {exc}"
