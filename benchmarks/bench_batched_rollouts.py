@@ -2,7 +2,8 @@
 
 Evaluates one reduced-fidelity characterization slice — a
 same-situation knob grid of 16 rollouts at 48x24 camera fidelity —
-four ways through the one chunked sweep driver: chunks of one lane
+four ways through the one rollout driver
+(:func:`repro.hil.batch.run_batch`): chunks of one lane
 (``batch=1``, the serial sweep), and lock-step lane chunks of 4, 16,
 and auto.  Each arm's wall clock, its speedup over serial, and the
 batch composition go to ``extra_info``; every arm must agree
@@ -22,11 +23,13 @@ import time
 
 from repro.core.characterization import (
     CharacterizationConfig,
-    _knob_tasks,
-    _run_knob_tasks,
+    _knob_grid,
+    _rollout_config,
     roi_candidates,
 )
 from repro.core.situation import TABLE3_SITUATIONS
+from repro.hil.batch import run_batch
+from repro.sim.world import static_situation_track
 
 #: Reduced-fidelity slice: short track, four ISP candidates, both ROI
 #: presets of a curved layout, both speeds -> 16 closed-loop rollouts
@@ -44,11 +47,27 @@ CONFIG = CharacterizationConfig(
 _ROUNDS = 2
 
 
-def _slice_tasks():
+def _slice():
+    """The slice's rollouts: their configs and the ``run_batch`` lanes."""
     situation = next(
         s for s in TABLE3_SITUATIONS if len(roi_candidates(s)) > 1
     )
-    return _knob_tasks(situation, CONFIG.isp_names, CONFIG)
+    grid = _knob_grid(situation, CONFIG.isp_names, CONFIG)
+    lanes = dict(
+        track=static_situation_track(situation, length=CONFIG.track_length),
+        case="case4",
+        table=[{situation: knobs} for knobs in grid],
+    )
+    return [_rollout_config(CONFIG)] * len(grid), lanes
+
+
+def _sweep(configs, lanes, batch):
+    """The slice in one process, *batch* lanes per chunk: each rollout's
+    MAE, crash flag and lateral-offset trace bytes."""
+    return [
+        (run.mae(skip_time_s=2.0), run.crashed, run.lateral_offset.tobytes())
+        for run in run_batch(configs, jobs=1, batch=batch, **lanes)
+    ]
 
 
 def _best_of(fn, rounds=_ROUNDS):
@@ -62,17 +81,17 @@ def _best_of(fn, rounds=_ROUNDS):
 
 
 def test_batched_rollouts_speedup(benchmark):
-    tasks = _slice_tasks()
+    configs, lanes = _slice()
 
-    serial, serial_s = _best_of(lambda: _run_knob_tasks(tasks, 1, 1))
+    serial, serial_s = _best_of(lambda: _sweep(configs, lanes, 1))
 
     arms = {}
     for label, batch in (("batch4", 4), ("batch16", 16), ("batch_auto", "auto")):
-        results, wall_s = _best_of(lambda b=batch: _run_knob_tasks(tasks, 1, b))
+        results, wall_s = _best_of(lambda b=batch: _sweep(configs, lanes, b))
         assert results == serial, f"{label} diverged from the serial sweep"
         arms[label] = wall_s
 
-    benchmark.extra_info["n_tasks"] = len(tasks)
+    benchmark.extra_info["n_tasks"] = len(configs)
     benchmark.extra_info["frame"] = [CONFIG.frame_width, CONFIG.frame_height]
     benchmark.extra_info["rounds"] = _ROUNDS
     benchmark.extra_info["serial_s"] = round(serial_s, 3)
@@ -93,5 +112,5 @@ def test_batched_rollouts_speedup(benchmark):
 
     # The benchmark's reported time is the batched sweep.
     benchmark.pedantic(
-        lambda: _run_knob_tasks(tasks, 1, "auto"), rounds=1, iterations=1
+        lambda: _sweep(configs, lanes, "auto"), rounds=1, iterations=1
     )

@@ -216,17 +216,15 @@ def simulate(
         is per seed and precedes any simulation: every seed's key is
         loaded, only the misses are chunked into lock-step lanes (so
         partial hits only roll the misses, bit-identical because lanes
-        are independent), and each fresh result is stored as soon as
-        its chunk finishes.
+        are independent), and the fresh results are stored once they
+        are all rolled (:func:`repro.hil.batch.run_batch`).
     config:
         Base :class:`HilConfig`; the keywords above override it field
         by field.
     """
-    from repro.cache import resolve_cache, rollout_key_document
-    from repro.hil.batch import BatchedHilEngine
-    from repro.hil.engine import HilEngine
+    from repro.cache import resolve_cache
+    from repro.hil.batch import run_batch
     from repro.telemetry import TelemetryRecorder, activated, write_trace
-    from repro.utils.parallel import resolve_batch
 
     resolved_track, _ = _coerce_track(track, situation, length_m)
     single = seed is None or isinstance(seed, numbers.Integral)
@@ -243,45 +241,20 @@ def simulate(
         )
         for s in seeds
     ]
-    # Profiled and telemetry runs bypass the cache outright: measuring
-    # the run is their point, and a cached result carries no stats.
-    store = None
-    if telemetry is None and not any(cfg.profile for cfg in configs):
-        store = resolve_cache(cache)
-    results: list[Optional[HilResult]] = [None] * len(configs)
-    documents: list[Optional[dict]] = [None] * len(configs)
-    if store is not None:
-        documents = [
-            rollout_key_document(
-                track=resolved_track,
-                case=case,
-                table=table,
-                identifier=identifier,
-                config=cfg,
-            )
-            for cfg in configs
-        ]
-        results = [store.load(document) for document in documents]
-    misses = [i for i, result in enumerate(results) if result is None]
-    lanes = resolve_batch(batch, len(misses))
+    # A telemetry run bypasses the cache outright: recording the run is
+    # its point.  (A profiled run has no key, so it always runs live.)
+    store = resolve_cache(cache) if telemetry is None else None
     recorder = TelemetryRecorder() if telemetry is not None else None
     with activated(recorder):
-        for start in range(0, len(misses), lanes):
-            chunk = misses[start : start + lanes]
-            engines = [
-                HilEngine(
-                    resolved_track,
-                    case,
-                    table=table,
-                    identifier=identifier,
-                    config=configs[i],
-                )
-                for i in chunk
-            ]
-            for i, result in zip(chunk, BatchedHilEngine(engines).run()):
-                results[i] = result
-                if store is not None:
-                    store.store(documents[i], result)
+        results = run_batch(
+            configs,
+            track=resolved_track,
+            case=case,
+            table=table,
+            identifier=identifier,
+            batch=batch,
+            cache=store,
+        )
     if recorder is not None:
         write_trace(telemetry, results[0].manifest, recorder.events)
     return results[0] if single else results

@@ -12,9 +12,11 @@ cycle records, and the manifest minus its wall-clock bounds.
 - :mod:`repro.cache.store` — the sharded atomic store with LRU bound,
   hit/miss counters and ``verify``.
 
-Consumers: ``repro.simulate(cache=...)`` (a per-seed lookup; only the
-misses are rolled), ``core.characterization`` (workers read through,
-only the parent writes back), and the ``python -m repro cache`` CLI.
+Consumers: the rollout driver :func:`repro.hil.batch.run_batch`, which
+``repro.simulate(cache=...)`` and the characterization sweep go through
+(it looks every lane up and stores every fresh result in the calling
+process; only the misses are rolled, in any worker count), and the
+``python -m repro cache`` CLI.
 """
 
 from repro.cache.keys import (

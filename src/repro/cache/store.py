@@ -76,13 +76,13 @@ class CacheStats:
         )
 
 
-#: Process-wide tallies across every counting store (the benchmarks read
-#: deltas of this to report hit/miss rates).
+#: Process-wide tallies across every store (the benchmarks read deltas
+#: of this to report hit/miss rates).
 _GLOBAL_STATS = CacheStats()
 
 
 def global_stats() -> CacheStats:
-    """The process-wide cache counters (mutated by counting stores)."""
+    """The process-wide cache counters (mutated by every store)."""
     return _GLOBAL_STATS
 
 
@@ -97,11 +97,6 @@ class RolloutCache:
         LRU size bound; default ``$REPRO_CACHE_MAX_MB`` MiB or 4 GiB.
     enabled:
         Force-enable/disable; defaults to honouring ``REPRO_NO_CACHE``.
-    count_global:
-        Whether this store's hits/misses also tally into
-        :func:`global_stats`.  Pool workers pass ``False`` so the
-        parent, which re-derives their outcomes, stays the single
-        authority on sweep-wide counters for any worker count.
     """
 
     def __init__(
@@ -110,7 +105,6 @@ class RolloutCache:
         *,
         max_bytes: Optional[int] = None,
         enabled: Optional[bool] = None,
-        count_global: bool = True,
     ):
         if enabled is None:
             enabled = os.environ.get("REPRO_NO_CACHE", "0") != "1"
@@ -123,7 +117,6 @@ class RolloutCache:
         self.max_bytes = max_bytes
         self.enabled = enabled
         self.stats = CacheStats()
-        self._count_global = count_global
 
     # -- key -> path -----------------------------------------------------
 
@@ -149,23 +142,9 @@ class RolloutCache:
 
     # -- stats -----------------------------------------------------------
 
-    def record(self, *, hits: int = 0, misses: int = 0) -> None:
-        """Tally outcomes observed elsewhere (parent-side accounting).
-
-        The sweep runner's pool workers read through the store but do
-        not count (their process-local counters would die with the
-        pool); the parent calls this once per outcome instead.
-        """
-        self.stats.hits += hits
-        self.stats.misses += misses
-        if self._count_global:
-            _GLOBAL_STATS.hits += hits
-            _GLOBAL_STATS.misses += misses
-
     def _count(self, field: str) -> None:
-        setattr(self.stats, field, getattr(self.stats, field) + 1)
-        if self._count_global:
-            setattr(_GLOBAL_STATS, field, getattr(_GLOBAL_STATS, field) + 1)
+        for stats in (self.stats, _GLOBAL_STATS):
+            setattr(stats, field, getattr(stats, field) + 1)
 
     # -- load / store ----------------------------------------------------
 
@@ -317,9 +296,7 @@ class RolloutCache:
         return checked, problems
 
 
-def resolve_cache(
-    cache: Union[str, Path, None], *, count_global: bool = True
-) -> Optional[RolloutCache]:
+def resolve_cache(cache: Union[str, Path, None]) -> Optional[RolloutCache]:
     """Map the facade's ``cache=`` keyword to a store (or ``None``).
 
     ``None``/``"off"`` disable caching; ``"auto"`` uses the default
@@ -329,5 +306,5 @@ def resolve_cache(
     if cache is None or cache == "off":
         return None
     root = None if cache == "auto" else Path(cache)
-    store = RolloutCache(root, count_global=count_global)
+    store = RolloutCache(root)
     return store if store.enabled else None

@@ -23,8 +23,8 @@ bit-identical to the serial path for any worker count.  ``jobs=1``
 
 On top of the process fan-out, ``batch`` composes: each work item
 shipped to a worker is a *lane chunk* of up to ``batch`` same-situation
-evaluations, advanced lock-step through the batched rollout engine
-(:class:`repro.hil.batch.BatchedHilEngine`) or the batched prescreen
+evaluations, advanced lock-step through the one rollout driver
+(:func:`repro.hil.batch.run_batch`) or the batched prescreen
 (:func:`repro.perception.evaluation.evaluate_sequence_batch`), so the
 vectorized render/ISP/perception kernels amortize numpy dispatch across
 the whole chunk.  Lane order inside a chunk and chunk order across the
@@ -37,11 +37,11 @@ falls back to its serial reference kernel
 (:func:`repro.perception.evaluation.evaluate_sequence`).
 
 Every closed-loop rollout reads through the content-addressed rollout
-store (:mod:`repro.cache`) when caching is on: pool workers look
-entries up (and report hits/misses home), but only the parent process
-writes fresh results back — the write path never fans out.  Prescreen
-bad-rate vectors are small derived artifacts and use a plain
-``ArtifactCache`` namespace, parent-side only.
+store (:mod:`repro.cache`) when caching is on: the driver looks every
+rollout up and writes every fresh one back in this (parent) process,
+and only the misses go to the workers.  Prescreen bad-rate vectors are
+small derived artifacts and use a plain ``ArtifactCache`` namespace
+under the store root (``<root>/prescreen``), parent-side only.
 """
 
 from __future__ import annotations
@@ -53,12 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cache import (
-    RolloutCache,
-    kernel_identity_tag,
-    resolve_cache,
-    rollout_key_document,
-)
+from repro.cache import RolloutCache, kernel_identity_tag, resolve_cache
 from repro.core.cases import case_config
 from repro.core.knobs import KnobSetting
 from repro.core.situation import RoadLayout, Situation, TABLE3_SITUATIONS
@@ -149,8 +144,8 @@ def roi_candidates(situation: Situation) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# picklable work specs + workers (module-level so a process pool can
-# ship them; each evaluates one independent, self-seeded simulation)
+# prescreen work specs + workers (module-level so a process pool can
+# ship them), and the closed-loop grid the rollout driver evaluates
 
 
 @dataclass(frozen=True)
@@ -160,39 +155,6 @@ class _PrescreenTask:
     situation: Situation
     isp: str
     config: CharacterizationConfig
-
-
-@dataclass(frozen=True)
-class _KnobTask:
-    """One closed-loop evaluation (situation x ISP x ROI x speed).
-
-    ``cache_root`` travels inside the spec (not the environment: forked
-    workers inherit the parent env as of *pool creation*, which may
-    predate the sweep).  ``None`` disables the worker's read-through.
-    """
-
-    situation: Situation
-    isp: str
-    roi: str
-    speed_kmph: float
-    config: CharacterizationConfig
-    cache_root: Optional[str] = None
-
-
-@dataclass
-class _KnobOutcome:
-    """What one knob evaluation sends back to the parent.
-
-    ``document`` is the rollout's cache-key document (``None`` when
-    caching is off); ``result`` is the freshly simulated
-    :class:`~repro.hil.record.HilResult` for the parent to write back —
-    ``None`` on a cache hit, so a hit is recognizable as
-    ``document and not result``.
-    """
-
-    evaluation: KnobEvaluation
-    document: Optional[Dict[str, object]] = None
-    result: Optional[object] = None
 
 
 def _prescreen_worker(task: _PrescreenTask) -> float:
@@ -208,18 +170,6 @@ def _prescreen_worker(task: _PrescreenTask) -> float:
         camera=CameraModel(width=config.frame_width, height=config.frame_height),
     )
     return stats.bad_frame_rate()
-
-
-def _worker_store(cache_root: Optional[str]) -> Optional[RolloutCache]:
-    """A read-through store for a worker, or ``None`` (caching off).
-
-    Workers never tally the process-wide counters: their processes die
-    with the pool, so the parent re-derives hits/misses from the
-    outcomes instead (identical for any worker count).
-    """
-    if not cache_root:
-        return None
-    return RolloutCache(cache_root, enabled=True, count_global=False)
 
 
 def _evaluate_result(knobs: KnobSetting, case, result) -> KnobEvaluation:
@@ -247,13 +197,6 @@ class _PrescreenChunk:
     config: CharacterizationConfig
 
 
-@dataclass(frozen=True)
-class _KnobChunk:
-    """A lane chunk of same-situation closed-loop evaluations."""
-
-    tasks: Tuple[_KnobTask, ...]
-
-
 def _prescreen_chunk_worker(chunk: _PrescreenChunk) -> Tuple[float, ...]:
     """Bad-frame rates of a lane chunk of ISP configs, lock-step."""
     config = chunk.config
@@ -269,100 +212,44 @@ def _prescreen_chunk_worker(chunk: _PrescreenChunk) -> Tuple[float, ...]:
     return tuple(s.bad_frame_rate() for s in stats)
 
 
-def _knob_chunk_worker(chunk: _KnobChunk) -> Tuple[_KnobOutcome, ...]:
-    """Closed-loop QoC of a lane chunk of knob settings, lock-step.
-
-    All tasks in a chunk share one situation, so the lanes share one
-    track object (the construction is deterministic — a shared instance
-    is bit-identical to per-lane copies) and the batched engine can
-    group their render calls.  Cached lanes drop out before the batch
-    is built — only the misses are rolled — which stays bit-identical
-    because lanes are independent.  A chunk of one is a serial run.
-    """
-    # Imported here: the HiL engine composes the whole system, and a
-    # module-level import would make repro.core depend on repro.hil
-    # circularly (hil's engine imports repro.core.reconfiguration).
-    from repro.hil.batch import BatchedHilEngine
-    from repro.hil.engine import HilConfig, HilEngine
-    from repro.sim.world import static_situation_track
-
-    config = chunk.tasks[0].config
-    situation = chunk.tasks[0].situation
-    case = case_config("case4")
-    track = static_situation_track(situation, length=config.track_length)
-    hil_config = HilConfig(
-        seed=config.seed,
-        frame_width=config.frame_width,
-        frame_height=config.frame_height,
-    )
-    knob_settings = [
-        KnobSetting(isp=task.isp, roi=task.roi, speed_kmph=task.speed_kmph)
-        for task in chunk.tasks
-    ]
-    documents: List[Optional[Dict[str, object]]] = [None] * len(knob_settings)
-    results: List[Optional[object]] = [None] * len(knob_settings)
-    store = _worker_store(chunk.tasks[0].cache_root)
-    if store is not None:
-        documents = [
-            rollout_key_document(
-                track=track,
-                case=case,
-                table={situation: knobs},
-                identifier=None,
-                config=hil_config,
-            )
-            for knobs in knob_settings
-        ]
-        results = [store.load(document) for document in documents]
-    live = [i for i, result in enumerate(results) if result is None]
-    if live:
-        engines = [
-            HilEngine(
-                track,
-                case,
-                table={situation: knob_settings[i]},
-                config=hil_config,
-            )
-            for i in live
-        ]
-        for i, result in zip(live, BatchedHilEngine(engines).run()):
-            results[i] = result
-    live_set = set(live)
-    return tuple(
-        _KnobOutcome(
-            _evaluate_result(knobs, case, result),
-            documents[i],
-            result if i in live_set and documents[i] is not None else None,
-        )
-        for i, (knobs, result) in enumerate(zip(knob_settings, results))
-    )
-
-
 def _chunked(items: Sequence, size: int) -> List[tuple]:
     """Split *items* into consecutive tuples of at most *size*."""
     return [tuple(items[i : i + size]) for i in range(0, len(items), size)]
 
 
-def _knob_tasks(
+def _knob_grid(
     situation: Situation,
     isp_candidates: Sequence[str],
     config: CharacterizationConfig,
-    cache_root: Optional[str] = None,
-) -> List[_KnobTask]:
-    """The flat closed-loop work list for one situation, in sweep order."""
+) -> List[KnobSetting]:
+    """The closed-loop knob settings for one situation, in sweep order."""
     return [
-        _KnobTask(situation, isp, roi, speed, config, cache_root)
+        KnobSetting(isp=isp, roi=roi, speed_kmph=speed)
         for isp in isp_candidates
         for roi in roi_candidates(situation)
         for speed in config.speeds_kmph
     ]
 
 
+def _rollout_config(config: CharacterizationConfig):
+    """The :class:`~repro.hil.engine.HilConfig` of every sweep rollout."""
+    # Imported here: the HiL engine composes the whole system, and a
+    # module-level import would make repro.core depend on repro.hil
+    # circularly (hil's engine imports repro.core.reconfiguration).
+    from repro.hil.engine import HilConfig
+
+    return HilConfig(
+        seed=config.seed,
+        frame_width=config.frame_width,
+        frame_height=config.frame_height,
+    )
+
+
 def _collect_outcomes(
-    results: Sequence[Union[_KnobOutcome, TaskFailure]],
+    results: Sequence[Union[KnobEvaluation, TaskFailure]],
     situation: Situation,
-) -> List[_KnobOutcome]:
-    """Drop failed tasks (already logged by the runner); require one hit."""
+) -> List[KnobEvaluation]:
+    """Drop failed evaluations (already logged by the runner); require one."""
     outcomes = [r for r in results if not isinstance(r, TaskFailure)]
     if not outcomes:
         raise RuntimeError(
@@ -370,30 +257,6 @@ def _collect_outcomes(
             f"'{situation.describe()}'"
         )
     return outcomes
-
-
-def _absorb_outcomes(
-    store: Optional[RolloutCache],
-    outcomes: Sequence[Union[_KnobOutcome, TaskFailure]],
-) -> None:
-    """Parent-only write-back plus sweep-wide hit/miss accounting.
-
-    Workers read through the store but never write; every fresh rollout
-    arrives here exactly once (submission order), so each key is stored
-    once per sweep — there is no duplicate recompute to race on.
-    """
-    if store is None:
-        return
-    hits = misses = 0
-    for outcome in outcomes:
-        if isinstance(outcome, TaskFailure) or outcome.document is None:
-            continue
-        if outcome.result is None:
-            hits += 1
-        else:
-            misses += 1
-            store.store(outcome.document, outcome.result)
-    store.record(hits=hits, misses=misses)
 
 
 # ---------------------------------------------------------------------------
@@ -541,41 +404,14 @@ def _select_isp_candidates(
     return candidates[: config.max_isp_candidates]
 
 
-def _run_knob_tasks(
-    tasks: Sequence[_KnobTask],
-    n_jobs: int,
-    batch: Union[int, str, None],
-) -> List[Union[_KnobOutcome, TaskFailure]]:
-    """Evaluate a flat knob-task list, chunked into lock-step lanes.
-
-    Chunks never span situations (their lanes share one track), and the
-    flattened results keep submission order, so the output is the same
-    list for any ``(jobs, batch)`` composition — ``batch=1`` included,
-    which makes every task a chunk of one.
-    """
-    lanes = resolve_batch(batch, len(tasks), n_jobs)
-    by_situation: Dict[Situation, List[int]] = {}
-    for i, task in enumerate(tasks):
-        by_situation.setdefault(task.situation, []).append(i)
-    index_chunks: List[Tuple[int, ...]] = [
-        group
-        for indices in by_situation.values()
-        for group in _chunked(indices, lanes)
-    ]
-    chunks = [
-        _KnobChunk(tuple(tasks[i] for i in group)) for group in index_chunks
-    ]
-    chunk_results = parallel_map(
-        _knob_chunk_worker, chunks, jobs=n_jobs, label="characterize"
-    )
-    flat: List[Union[_KnobOutcome, TaskFailure]] = [None] * len(tasks)  # type: ignore[list-item]
-    for group, result in zip(index_chunks, chunk_results):
-        for lane, i in enumerate(group):
-            if isinstance(result, TaskFailure):
-                flat[i] = TaskFailure(index=i, item=tasks[i], error=result.error)
-            else:
-                flat[i] = result[lane]
-    return flat
+def _prescreen_cache(store: Optional[RolloutCache]) -> ArtifactCache:
+    """The prescreen vectors' cache: ``<store root>/prescreen``, off
+    without a store.  Beside the rollouts, outside the store's
+    ``*/*/*.npz`` entry layout."""
+    cache = ArtifactCache("prescreen", enabled=store is not None)
+    if store is not None:
+        cache.root = store.root / "prescreen"
+    return cache
 
 
 def _rankings(
@@ -589,32 +425,50 @@ def _rankings(
 
     The sweep is flattened across *all* situations — first the
     prescreen grid (situation x ISP), then the closed-loop grid
-    (situation x ISP candidate x ROI x speed) — so a multi-situation
-    sweep saturates ``n_jobs`` workers even when single situations have
-    few knob settings.  With a ``store``, workers read rollouts through
-    it, this (parent) process writes fresh ones back, and the prescreen
-    vectors are reused from the artifact cache.
+    (situation x ISP candidate x ROI x speed) in one driver call — so a
+    multi-situation sweep saturates ``n_jobs`` workers even when single
+    situations have few knob settings.  With a ``store``, the driver
+    reads and writes rollouts through it, and the prescreen vectors are
+    reused from ``<store root>/prescreen``.
     """
+    from repro.hil.batch import run_batch
+    from repro.sim.world import static_situation_track
+
     prescreens = _prescreen_all(
-        situations, config, n_jobs, batch,
-        ArtifactCache("prescreen", enabled=store is not None),
+        situations, config, n_jobs, batch, _prescreen_cache(store)
     )
-    cache_root = str(store.root) if store is not None else None
-    flat_tasks: List[_KnobTask] = []
-    spans: Dict[Situation, Tuple[int, int]] = {}
+    case = case_config("case4")
+    grids: Dict[Situation, List[KnobSetting]] = {}
+    tracks: list = []
+    tables: list = []
     for situation in situations:
         candidates = _select_isp_candidates(prescreens[situation], config)
-        tasks = _knob_tasks(situation, candidates, config, cache_root=cache_root)
-        spans[situation] = (len(flat_tasks), len(flat_tasks) + len(tasks))
-        flat_tasks.extend(tasks)
-    results = _run_knob_tasks(flat_tasks, n_jobs, batch)
-    _absorb_outcomes(store, results)
+        grids[situation] = _knob_grid(situation, candidates, config)
+        # One track per situation: its lanes share the object, which
+        # lets the driver chunk them together and group their renders.
+        track = static_situation_track(situation, length=config.track_length)
+        tracks += [track] * len(grids[situation])
+        tables += [{situation: knobs} for knobs in grids[situation]]
+    results = iter(
+        run_batch(
+            [_rollout_config(config)] * len(tables),
+            track=tracks,
+            case=case,
+            table=tables,
+            jobs=n_jobs,
+            batch=batch,
+            cache=store,
+        )
+    )
     rankings: Dict[Situation, List[KnobEvaluation]] = {}
-    for situation, (start, end) in spans.items():
-        outcomes = _collect_outcomes(results[start:end], situation)
+    for situation, grid in grids.items():
+        scored = [
+            result if isinstance(result, TaskFailure)
+            else _evaluate_result(knobs, case, result)
+            for knobs, result in zip(grid, results)
+        ]
         evaluations = sorted(
-            (outcome.evaluation for outcome in outcomes),
-            key=KnobEvaluation.sort_key,
+            _collect_outcomes(scored, situation), key=KnobEvaluation.sort_key
         )
         rankings[situation] = _tie_break_by_speed(evaluations, config.tie_tolerance)
     return rankings
@@ -659,10 +513,10 @@ def characterize_situation(
     lane chunks each worker advances through the batched rollout
     engine; the returned ranking is bit-identical for any combination.
     ``cache`` selects the rollout store (``"auto"``/``"off"``/path as
-    for :func:`repro.api.simulate`; default off): workers read cached
-    rollouts through it, fresh rollouts are written back by this
-    (parent) process only, and the ranking is the same for any cache
-    state because hits are byte-equal to reruns.
+    for :func:`repro.api.simulate`; default off): this (parent) process
+    looks every rollout up in it and writes every fresh one back, only
+    the misses reach the workers, and the ranking is the same for any
+    cache state because hits are byte-equal to reruns.
     """
     return _rankings(
         [situation], config, resolve_jobs(jobs), batch, resolve_cache(cache)
@@ -688,9 +542,10 @@ def characterize(
 
     With caching on (``use_cache=True``, the default) every closed-loop
     rollout reads through the content-addressed rollout store
-    (:mod:`repro.cache`) — workers look entries up, only this parent
-    process writes fresh results back — and each situation's prescreen
-    bad-rate vector is reused from the artifact cache.  A warm sweep
+    (:mod:`repro.cache`) — this parent process looks every entry up and
+    writes every fresh result back, and only the misses reach the
+    workers — and each situation's prescreen bad-rate vector is reused
+    from ``<store root>/prescreen``.  A warm sweep
     therefore recomputes nothing, and returns the same table because
     cache hits are byte-equal to the reruns they replace.  ``cache``
     overrides the store selection (``"auto"``/``"off"``/explicit root);

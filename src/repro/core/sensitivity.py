@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.cases import case_config
 from repro.core.knobs import KnobSetting
 from repro.core.situation import Situation, situation_by_index
+from repro.utils.parallel import require_all, resolve_jobs
 from repro.utils.rng import derive_rng
 
 __all__ = [
@@ -121,38 +122,42 @@ def knob_sensitivity(
     runs the closed loop under the case-4 classifier budget (the
     configuration the knobs would be reconfigured in), and records the
     QoC.  The report decomposes the QoC variance per knob dimension.
+    The rollouts go through :func:`repro.hil.batch.run_batch` with
+    ``$REPRO_JOBS`` workers.
     """
-    from repro.hil.engine import HilConfig, HilEngine
+    from repro.hil.batch import run_batch
+    from repro.hil.engine import HilConfig
     from repro.sim.world import static_situation_track
 
     situation = situation or situation_by_index(1)
     rng = derive_rng(config.seed, "sensitivity")
-    case = case_config("case4")
-    track = static_situation_track(situation, length=config.track_length)
-
-    samples: List[MonteCarloSample] = []
-    for _ in range(config.n_samples):
-        knobs = KnobSetting(
+    # Every knob draw comes first: the rollouts never touch this stream.
+    draws = [
+        KnobSetting(
             isp=config.isp_names[rng.integers(len(config.isp_names))],
             roi=config.roi_names[rng.integers(len(config.roi_names))],
             speed_kmph=float(
                 config.speeds_kmph[rng.integers(len(config.speeds_kmph))]
             ),
         )
-        engine = HilEngine(
-            track,
-            case,
-            table={situation: knobs},
-            config=HilConfig(seed=config.seed),
+        for _ in range(config.n_samples)
+    ]
+    runs = require_all(
+        run_batch(
+            [HilConfig(seed=config.seed)] * len(draws),
+            track=static_situation_track(situation, length=config.track_length),
+            case=case_config("case4"),
+            table=[{situation: knobs} for knobs in draws],
+            jobs=resolve_jobs(None),
+        ),
+        "sensitivity",
+    )
+    samples = [
+        MonteCarloSample(
+            knobs=knobs, mae=result.mae(skip_time_s=2.0), crashed=result.crashed
         )
-        result = engine.run()
-        samples.append(
-            MonteCarloSample(
-                knobs=knobs,
-                mae=result.mae(skip_time_s=2.0),
-                crashed=result.crashed,
-            )
-        )
+        for knobs, result in zip(draws, runs)
+    ]
 
     values = np.array([s.effective_mae for s in samples])
     report = SensitivityReport(situation=situation, samples=samples)

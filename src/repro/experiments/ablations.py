@@ -13,15 +13,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.situation import situation_by_index
 from repro.experiments.common import format_table
-from repro.hil.engine import HilConfig, HilEngine
+from repro.hil.batch import run_batch
+from repro.hil.engine import HilConfig
 from repro.perception.evaluation import evaluate_sequence
 from repro.sim.track import Track
 from repro.sim.world import fig7_track
-from repro.utils.parallel import TaskFailure, parallel_map
+from repro.utils.parallel import require_all
 
 __all__ = [
     "run_isp_lag_ablation",
@@ -41,33 +42,22 @@ class AblationPoint:
     crashed: bool
 
 
-def _dynamic_mae(config: HilConfig, case: str, track: Track) -> AblationPoint:
-    run = HilEngine(track, case, config=config).run()
-    return AblationPoint(
-        setting="",
-        mae=run.mae(skip_time_s=2.0),
-        crashed=run.crashed,
-    )
-
-
-def _dynamic_mae_task(spec: Tuple[str, HilConfig, str, Track]) -> AblationPoint:
-    """Picklable work item: one labelled closed-loop ablation run."""
-    setting, config, case, track = spec
-    point = _dynamic_mae(config, case, track)
-    point.setting = setting
-    return point
-
-
-def _run_points(
-    specs: Sequence[Tuple[str, HilConfig, str, Track]],
+def _points(
+    settings: Sequence[str],
+    configs: Sequence[HilConfig],
+    case: str,
+    track: Track,
     jobs: Optional[int],
 ) -> List[AblationPoint]:
-    """Fan the independent ablation runs out; order follows *specs*."""
-    results = parallel_map(_dynamic_mae_task, specs, jobs=jobs, label="ablation")
-    failed = [r.item[0] for r in results if isinstance(r, TaskFailure)]
-    if failed:
-        raise RuntimeError(f"ablation runs failed for settings: {failed}")
-    return list(results)
+    """One closed-loop point per labelled config, in order, through
+    the rollout driver across *jobs* workers."""
+    runs = require_all(
+        run_batch(configs, track=track, case=case, jobs=jobs), "ablation"
+    )
+    return [
+        AblationPoint(setting=setting, mae=run.mae(skip_time_s=2.0), crashed=run.crashed)
+        for setting, run in zip(settings, runs)
+    ]
 
 
 def compact_track() -> Track:
@@ -87,12 +77,13 @@ def run_isp_lag_ablation(
     jobs: Optional[int] = None,
 ) -> List[AblationPoint]:
     """Case 4 on the dynamic track with different ISP apply lags."""
-    track = track or compact_track()
-    specs = [
-        (f"lag={lag} cycles", HilConfig(seed=seed, isp_apply_lag=lag), "case4", track)
-        for lag in lags
-    ]
-    return _run_points(specs, jobs)
+    return _points(
+        [f"lag={lag} cycles" for lag in lags],
+        [HilConfig(seed=seed, isp_apply_lag=lag) for lag in lags],
+        "case4",
+        track or compact_track(),
+        jobs,
+    )
 
 
 def run_invocation_window_ablation(
@@ -102,17 +93,13 @@ def run_invocation_window_ablation(
     jobs: Optional[int] = None,
 ) -> List[AblationPoint]:
     """The variable scheme with different road-classifier windows."""
-    track = track or compact_track()
-    specs = [
-        (
-            f"window={window:.0f} ms",
-            HilConfig(seed=seed, invocation_window_ms=window),
-            "variable",
-            track,
-        )
-        for window in windows_ms
-    ]
-    return _run_points(specs, jobs)
+    return _points(
+        [f"window={window:.0f} ms" for window in windows_ms],
+        [HilConfig(seed=seed, invocation_window_ms=window) for window in windows_ms],
+        "variable",
+        track or compact_track(),
+        jobs,
+    )
 
 
 def run_feedforward_ablation(
@@ -121,17 +108,13 @@ def run_feedforward_ablation(
     jobs: Optional[int] = None,
 ) -> List[AblationPoint]:
     """Curvature feed-forward on/off for the robust baseline (case 3)."""
-    track = track or compact_track()
-    specs = [
-        (
-            f"feedforward={'on' if use_ff else 'off'}",
-            HilConfig(seed=seed, use_feedforward=use_ff),
-            "case3",
-            track,
-        )
-        for use_ff in (False, True)
-    ]
-    return _run_points(specs, jobs)
+    return _points(
+        [f"feedforward={'on' if use_ff else 'off'}" for use_ff in (False, True)],
+        [HilConfig(seed=seed, use_feedforward=use_ff) for use_ff in (False, True)],
+        "case3",
+        track or compact_track(),
+        jobs,
+    )
 
 
 def run_isp_stage_ablation(

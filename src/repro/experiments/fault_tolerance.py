@@ -17,8 +17,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.common import format_table
 from repro.faults.plan import FaultPlan, resolve_fault_plan
+from repro.hil.batch import run_batch
 from repro.hil.engine import HilConfig
 from repro.hil.record import HilResult
+from repro.utils.parallel import require_all, resolve_jobs
 
 __all__ = [
     "FaultScenario",
@@ -134,37 +136,40 @@ def run_fault_tolerance(
     """Run every scenario with mitigation off and on.
 
     ``config`` overrides the base :class:`HilConfig` (tests shrink the
-    frame); seed and fault plan always come from the scenario.
+    frame); seed and fault plan always come from the scenario.  Both
+    arms of every scenario go through :func:`repro.hil.batch.run_batch`
+    in one call, with ``$REPRO_JOBS`` workers.
     """
-    from repro.api import inject
+    from repro.api import _build_config
 
     if scenarios is None:
         scenarios = DEFAULT_SCENARIOS
-    results: List[FaultScenarioResult] = []
-    for scenario in scenarios:
-        plan = resolve_fault_plan(scenario.faults)
-        track = _scenario_track(scenario)
-        arms = {}
-        for mitigated in (False, True):
-            run = inject(
-                faults=plan,
-                track=track,
-                situation=scenario.situation_index,
-                case=scenario.case,
-                seed=scenario.seed,
-                mitigate=mitigated,
-                config=config,
-            )
-            arms[mitigated] = _arm(run, mitigated)
-        results.append(
-            FaultScenarioResult(
-                scenario=scenario,
-                plan=plan,
-                baseline=arms[False],
-                mitigated=arms[True],
-            )
+    plans = [resolve_fault_plan(scenario.faults) for scenario in scenarios]
+    tracks = [_scenario_track(scenario) for scenario in scenarios]
+    arms = [(k, mitigated) for k in range(len(scenarios)) for mitigated in (False, True)]
+    # Both arms of every scenario in one driver call, each arm configured
+    # exactly as ``repro.inject(faults=plan, mitigate=...)`` would be.
+    runs = require_all(
+        run_batch(
+            [
+                _build_config(config, scenarios[k].seed, None, False, plans[k], mitigated)
+                for k, mitigated in arms
+            ],
+            track=[tracks[k] for k, _ in arms],
+            case=[scenarios[k].case for k, _ in arms],
+            jobs=resolve_jobs(None),
+        ),
+        "fault tolerance",
+    )
+    return [
+        FaultScenarioResult(
+            scenario=scenario,
+            plan=plan,
+            baseline=_arm(runs[2 * k], mitigated=False),
+            mitigated=_arm(runs[2 * k + 1], mitigated=True),
         )
-    return results
+        for k, (scenario, plan) in enumerate(zip(scenarios, plans))
+    ]
 
 
 def format_fault_tolerance(results: Sequence[FaultScenarioResult]) -> str:

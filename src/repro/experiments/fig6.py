@@ -13,13 +13,15 @@ accuracy for the fastest sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.situation import Situation, situation_by_index
 from repro.experiments.common import format_table, full_scale
-from repro.hil.engine import HilConfig, HilEngine
+from repro.hil.batch import run_batch
+from repro.hil.engine import HilConfig
 from repro.sim.world import static_situation_track
+from repro.utils.parallel import require_all, resolve_jobs
 
 __all__ = ["SituationCaseResult", "run_fig6", "format_fig6", "CASES_FIG6"]
 
@@ -54,30 +56,42 @@ def run_fig6(
 
     With multiple *seeds* the MAE is averaged and a crash in any seed
     marks the (situation, case) as failed — matching how the paper
-    treats robustness (one lane departure disqualifies a design).
+    treats robustness (one lane departure disqualifies a design).  A
+    given *config* runs once per seed, with its seed replaced.  The
+    rollouts go through :func:`repro.hil.batch.run_batch` with
+    ``$REPRO_JOBS`` workers.
     """
     import numpy as np
 
     indices = list(indices) if indices is not None else _default_indices()
-    results: List[SituationCaseResult] = []
-    for index in indices:
-        situation = situation_by_index(index)
+    base = config or HilConfig()
+    situations = [situation_by_index(index) for index in indices]
+    lanes = []  # (track, case, seed) per rollout, situation-major
+    for situation in situations:
         track = static_situation_track(situation, length=track_length)
+        lanes += [(track, case, seed) for case in CASES_FIG6 for seed in seeds]
+    runs = iter(
+        require_all(
+            run_batch(
+                [replace(base, seed=seed) for _, _, seed in lanes],
+                track=[track for track, _, _ in lanes],
+                case=[case for _, case, _ in lanes],
+                jobs=resolve_jobs(None),
+            ),
+            "fig6",
+        )
+    )
+    results: List[SituationCaseResult] = []
+    for index, situation in zip(indices, situations):
         per_case: Dict[str, SituationCaseResult] = {}
         for case in CASES_FIG6:
-            maes = []
-            crashed = False
-            for seed in seeds:
-                run_config = config or HilConfig(seed=seed)
-                run = HilEngine(track, case, config=run_config).run()
-                maes.append(run.mae(skip_time_s=2.0))
-                crashed = crashed or run.crashed
+            seed_runs = [next(runs) for _ in seeds]
             per_case[case] = SituationCaseResult(
                 index=index,
                 situation=situation,
                 case=case,
-                mae=float(np.mean(maes)),
-                crashed=crashed,
+                mae=float(np.mean([run.mae(skip_time_s=2.0) for run in seed_runs])),
+                crashed=any(run.crashed for run in seed_runs),
             )
         reference = per_case["case3"].mae
         for case in CASES_FIG6:

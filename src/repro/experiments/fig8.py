@@ -15,16 +15,18 @@ sectors completed without failure by the cases being compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.common import format_table
-from repro.hil.engine import HilConfig, HilEngine
+from repro.hil.batch import run_batch
+from repro.hil.engine import HilConfig
 from repro.hil.record import HilResult, SectorQoC
 from repro.sim.track import Track
 from repro.sim.world import fig7_track
+from repro.utils.parallel import require_all, resolve_jobs
 
 __all__ = ["DynamicCaseResult", "run_fig8", "format_fig8", "aggregate_improvements"]
 
@@ -75,27 +77,37 @@ def run_fig8(
 
     With multiple *seeds* the per-sector MAEs are averaged; a sector is
     completed only if every seed completes it (and the representative
-    ``result`` trace is the first seed's).  *identifier* optionally
-    replaces the ground-truth oracle, e.g. a
-    :class:`~repro.classifiers.runtime.CnnIdentifier`.
+    ``result`` trace is the first seed's).  A given *config* runs once
+    per seed, with its seed replaced.  *identifier* optionally replaces
+    the ground-truth oracle, e.g. a
+    :class:`~repro.classifiers.runtime.CnnIdentifier`.  The rollouts go
+    through :func:`repro.hil.batch.run_batch` with ``$REPRO_JOBS``
+    workers.
     """
     track = track or fig7_track()
     seed_list = list(seeds) if seeds is not None else [seed]
+    base = config or HilConfig()
+    runs = iter(
+        require_all(
+            run_batch(
+                [replace(base, seed=s) for _ in cases for s in seed_list],
+                track=track,
+                case=[case for case in cases for _ in seed_list],
+                identifier=identifier,
+                jobs=resolve_jobs(None),
+            ),
+            "fig8",
+        )
+    )
     results: Dict[str, DynamicCaseResult] = {}
     for case in cases:
-        per_seed = []
-        for run_seed in seed_list:
-            run_config = config or HilConfig(seed=run_seed)
-            engine = HilEngine(track, case, identifier=identifier, config=run_config)
-            run = engine.run()
-            per_seed.append(
-                (run, run.sector_qoc(track, skip_distance_m=sector_skip_m))
-            )
-        sectors = _merge_sector_runs([s for _, s in per_seed])
+        per_seed = [next(runs) for _ in seed_list]
         results[case] = DynamicCaseResult(
             case=case,
-            result=per_seed[0][0],
-            sectors=sectors,
+            result=per_seed[0],
+            sectors=_merge_sector_runs(
+                [run.sector_qoc(track, skip_distance_m=sector_skip_m) for run in per_seed]
+            ),
         )
     return results
 

@@ -62,16 +62,24 @@ DESIGN.md for the invariance argument).
 Lanes leave the active set as soon as they crash, finish the track, or
 exhaust their step budget; the survivors keep batching until the last
 lane retires.
+
+:func:`run_batch` is the one rollout driver above the engine: every
+caller that rolls closed loops (``repro.simulate``, the
+characterization sweep, Fig. 6, Fig. 8, the ablations, the sensitivity
+and fault-tolerance studies) hands it a list of lanes, and it does the
+rollout-cache lookups and stores, the lane chunking and the process
+fan-out.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.cache import RolloutCache, rollout_key_document
 from repro.control.controller import LaneKeepingController
 from repro.core.cases import CaseConfig
 from repro.core.knobs import KnobSetting
@@ -91,6 +99,7 @@ from repro.sim.vehicle import Vehicle, VehicleState
 from repro.telemetry import build_manifest
 from repro.telemetry import recorder as telemetry
 from repro.utils import profiling
+from repro.utils.parallel import TaskFailure, parallel_map, resolve_batch, resolve_jobs
 from repro.utils.profiling import profile
 
 __all__ = ["BatchedHilEngine", "run_batch"]
@@ -213,8 +222,8 @@ class BatchedHilEngine:
     what unlocks the batched kernels, but none of it is required —
     unshared lanes run their own one-lane kernel calls and stay
     bit-identical either way.  The engine holds no result cache:
-    callers that reuse rollouts look each lane up themselves and hand
-    only the misses to the engine.
+    :func:`run_batch` looks each lane up and hands only the misses to
+    the engine.
     """
 
     def __init__(self, engines: Sequence[HilEngine]):
@@ -523,11 +532,34 @@ class BatchedHilEngine:
         return measurements
 
 
+def _per_lane(value, n_lanes: int, name: str) -> list:
+    """One value per lane: a list or tuple is per lane, anything else shared."""
+    if not isinstance(value, (list, tuple)):
+        return [value] * n_lanes
+    if len(value) != n_lanes:
+        raise ValueError(f"expected {n_lanes} {name}, got {len(value)}")
+    return list(value)
+
+
+def _run_chunk(chunk: Tuple[List[tuple], float]) -> List[HilResult]:
+    """Build one lane chunk's engines and run them lock-step.
+
+    Module level, so a process pool can ship it; a chunk is its lanes'
+    ``(track, case, table, identifier, config)`` plus ``start_s``.
+    """
+    lanes, start_s = chunk
+    engines = [
+        HilEngine(track, case, table=table, identifier=identifier, config=config)
+        for track, case, table, identifier, config in lanes
+    ]
+    return BatchedHilEngine(engines).run(start_s=start_s)
+
+
 def run_batch(
     configs: Sequence[HilConfig],
     *,
     track: Union[Track, Sequence[Track]],
-    case: Union[CaseConfig, str],
+    case: Union[CaseConfig, str, Sequence[Union[CaseConfig, str]]],
     table: Union[
         Mapping[Situation, KnobSetting],
         Sequence[Optional[Mapping[Situation, KnobSetting]]],
@@ -535,36 +567,82 @@ def run_batch(
     ] = None,
     identifier: Union[SituationIdentifier, str, None] = None,
     start_s: float = 0.0,
-) -> List[HilResult]:
-    """Build one engine per config and run them lock-step.
+    jobs: Union[int, str, None] = 1,
+    batch: Union[int, str, None] = None,
+    cache: Optional[RolloutCache] = None,
+) -> List[Union[HilResult, TaskFailure]]:
+    """Run one rollout per config: the one rollout driver.
 
-    ``track`` and ``table`` may be single values (shared by every lane)
-    or per-lane sequences.  ``identifier`` accepts a registry spec
-    string (resolved per lane, so each lane derives its own identifier
-    RNG streams exactly as a serial run would) or a stateless
-    identifier instance such as :class:`CnnIdentifier` (shared across
-    lanes; each lane still classifies its own frame).
-    Results come back in config order, each bit-identical to
-    ``HilEngine(...).run(start_s)`` for that lane.
+    ``track``, ``case`` and ``table`` each take one value shared by
+    every lane or a per-lane list.  ``identifier`` accepts a registry
+    spec string (resolved per lane, so each lane derives its own
+    identifier RNG streams exactly as a serial run would) or a
+    stateless identifier instance such as :class:`CnnIdentifier`
+    (shared across lanes; each lane still classifies its own frame).
+
+    Every lane is first looked up in ``cache`` (a
+    :class:`~repro.cache.RolloutCache`, or ``None`` for no caching), in
+    this process.  The misses are grouped by track object in order of
+    first appearance, cut into chunks of
+    :func:`~repro.utils.parallel.resolve_batch` lanes, and each chunk
+    runs lock-step through :class:`BatchedHilEngine`; fresh results
+    are stored from this process too, so the store's counters are exact
+    for any worker count.  Results come back in config order, each
+    bit-identical to ``HilEngine(...).run(start_s)`` for that lane.
+
+    ``jobs`` (see :func:`~repro.utils.parallel.resolve_jobs`) spreads
+    the chunks over :func:`~repro.utils.parallel.parallel_map`'s
+    process pool, where a chunk that raised fills its lanes' slots with
+    :class:`~repro.utils.parallel.TaskFailure`.  With one job the
+    chunks run in this process as plain calls: an exception propagates
+    to the caller, and an active telemetry recorder receives every
+    event (the pool keeps only a task's metrics).
     """
     n_lanes = len(configs)
-    tracks = list(track) if isinstance(track, (list, tuple)) else [track] * n_lanes
-    if len(tracks) != n_lanes:
-        raise ValueError(f"expected {n_lanes} tracks, got {len(tracks)}")
-    if table is None or isinstance(table, Mapping):
-        tables: Sequence = [table] * n_lanes
-    else:
-        tables = list(table)
-        if len(tables) != n_lanes:
-            raise ValueError(f"expected {n_lanes} tables, got {len(tables)}")
-    engines = [
-        HilEngine(
-            tracks[i],
-            case,
-            table=tables[i],
-            identifier=identifier,
-            config=configs[i],
-        )
-        for i in range(n_lanes)
+    tracks = _per_lane(track, n_lanes, "tracks")
+    cases = _per_lane(case, n_lanes, "cases")
+    tables = _per_lane(table, n_lanes, "tables")
+    n_jobs = resolve_jobs(jobs)
+
+    results: List[Union[HilResult, TaskFailure, None]] = [None] * n_lanes
+    documents: List[Optional[dict]] = [None] * n_lanes
+    if cache is not None:
+        for i in range(n_lanes):
+            documents[i] = rollout_key_document(
+                track=tracks[i],
+                case=cases[i],
+                table=tables[i],
+                identifier=identifier,
+                config=configs[i],
+            )
+            results[i] = cache.load(documents[i])
+    misses = [i for i, result in enumerate(results) if result is None]
+    by_track: Dict[int, List[int]] = {}
+    for i in misses:
+        by_track.setdefault(id(tracks[i]), []).append(i)
+    lanes = resolve_batch(batch, len(misses), n_jobs)
+    groups = [
+        members[k : k + lanes]
+        for members in by_track.values()
+        for k in range(0, len(members), lanes)
     ]
-    return BatchedHilEngine(engines).run(start_s=start_s)
+    chunks = [
+        (
+            [(tracks[i], cases[i], tables[i], identifier, configs[i]) for i in group],
+            start_s,
+        )
+        for group in groups
+    ]
+    if n_jobs == 1:
+        outputs = [_run_chunk(chunk) for chunk in chunks]
+    else:
+        outputs = parallel_map(_run_chunk, chunks, jobs=n_jobs, label="rollouts")
+    for group, output in zip(groups, outputs):
+        for lane, i in enumerate(group):
+            if isinstance(output, TaskFailure):
+                results[i] = TaskFailure(index=i, item=configs[i], error=output.error)
+            else:
+                results[i] = output[lane]
+                if cache is not None:
+                    cache.store(documents[i], output[lane])
+    return results  # type: ignore[return-value]

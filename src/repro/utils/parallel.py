@@ -66,6 +66,7 @@ __all__ = [
     "TaskFailure",
     "parallel_map",
     "register_stats_funnel",
+    "require_all",
     "resolve_batch",
     "resolve_jobs",
     "shutdown_pool",
@@ -416,6 +417,17 @@ def parallel_map(
                 else:
                     results[i] = _seen(_run_one(fn, items[i], i), label)
     return results  # type: ignore[return-value]
+
+
+def require_all(results: Sequence[Union[R, TaskFailure]], label: str) -> List[R]:
+    """*results* as a list, or a ``RuntimeError`` if any task failed."""
+    failed = [r for r in results if isinstance(r, TaskFailure)]
+    if failed:
+        raise RuntimeError(
+            f"{label}: {len(failed)} of {len(results)} tasks failed "
+            f"(first: {failed[0].error})"
+        )
+    return list(results)
 
 
 def _seen(result: Union[R, TaskFailure], label: str) -> Union[R, TaskFailure]:

@@ -123,7 +123,7 @@ class TestRolloutCacheStore:
         assert store.entries() == [path]
 
     def test_round_trip_and_counters(self, tmp_path):
-        store = RolloutCache(tmp_path, enabled=True, count_global=False)
+        store = RolloutCache(tmp_path, enabled=True)
         assert store.load(tiny_document(2)) is None
         store.store(tiny_document(2), tiny_result(2))
         loaded = store.load(tiny_document(2))
@@ -137,13 +137,13 @@ class TestRolloutCacheStore:
         }
 
     def test_uncacheable_document_is_a_silent_noop(self, tmp_path):
-        store = RolloutCache(tmp_path, enabled=True, count_global=False)
+        store = RolloutCache(tmp_path, enabled=True)
         assert store.load(None) is None
         assert store.store(None, tiny_result(0)) is None
         assert store.stats == CacheStats()
 
     def test_corrupt_entry_is_a_miss_and_a_verify_problem(self, tmp_path):
-        store = RolloutCache(tmp_path, enabled=True, count_global=False)
+        store = RolloutCache(tmp_path, enabled=True)
         path = store.store(tiny_document(3), tiny_result(3))
         path.write_bytes(b"not an npz archive")
         assert store.load(tiny_document(3)) is None
@@ -163,7 +163,7 @@ class TestRolloutCacheStore:
         ids=["lengths-overrun", "negative-length", "row-arity", "field-order"],
     )
     def test_malformed_record_is_a_miss_and_a_verify_problem(self, tmp_path, mutate):
-        store = RolloutCache(tmp_path, enabled=True, count_global=False)
+        store = RolloutCache(tmp_path, enabled=True)
         path = store.store(tiny_document(3), tiny_result(3))
         rewrite_record(path, mutate)
         assert store.load(tiny_document(3)) is None
@@ -174,7 +174,7 @@ class TestRolloutCacheStore:
 
     def test_new_and_legacy_entries_verify_and_load_bit_identically(self, tmp_path):
         """A store written before the two-member layout stays warm."""
-        store = RolloutCache(tmp_path, enabled=True, count_global=False)
+        store = RolloutCache(tmp_path, enabled=True)
         fresh = store.store(tiny_document(1), tiny_result(1))
         legacy = store.path_for(rollout_key(tiny_document(2)))
         legacy.parent.mkdir(parents=True)
@@ -191,7 +191,7 @@ class TestRolloutCacheStore:
         assert store.stats.hits == 2 and store.stats.misses == 0
 
     def test_verify_catches_entry_in_wrong_shard(self, tmp_path):
-        store = RolloutCache(tmp_path, enabled=True, count_global=False)
+        store = RolloutCache(tmp_path, enabled=True)
         path = store.store(tiny_document(4), tiny_result(4))
         wrong = tmp_path / "zz" / "zz" / path.name
         wrong.parent.mkdir(parents=True)
@@ -205,8 +205,7 @@ class TestRolloutCacheStore:
         probe = RolloutCache(tmp_path / "probe", enabled=True)
         entry_size = probe.store(tiny_document(0), tiny_result(0)).stat().st_size
         store = RolloutCache(
-            tmp_path / "store", max_bytes=int(entry_size * 2.5), enabled=True,
-            count_global=False,
+            tmp_path / "store", max_bytes=int(entry_size * 2.5), enabled=True
         )
         for entry in range(3):
             store.store(tiny_document(entry), tiny_result(entry))
@@ -218,14 +217,14 @@ class TestRolloutCacheStore:
         assert store.load(tiny_document(2)) is not None  # newest protected
 
     def test_clear_removes_everything(self, tmp_path):
-        store = RolloutCache(tmp_path, enabled=True, count_global=False)
+        store = RolloutCache(tmp_path, enabled=True)
         for entry in range(3):
             store.store(tiny_document(entry), tiny_result(entry))
         assert store.clear() == 3
         assert store.entries() == [] and store.total_bytes() == 0
 
     def test_stale_tmp_is_swept_young_tmp_survives(self, tmp_path):
-        store = RolloutCache(tmp_path, enabled=True, count_global=False)
+        store = RolloutCache(tmp_path, enabled=True)
         store.store(tiny_document(1), tiny_result(1))
         shard = store.entries()[0].parent
         stale = shard / "orphan.npz.tmp"
@@ -358,7 +357,7 @@ def _stress_worker(args):
     or crash the npz parser, both of which report as failures.
     """
     root, worker_seed = args
-    store = RolloutCache(root, enabled=True, count_global=False)
+    store = RolloutCache(root, enabled=True)
     order = np.random.default_rng(worker_seed).permutation(_STRESS_ENTRIES)
     failures = []
     for raw in order:
@@ -385,7 +384,7 @@ class TestConcurrencyStress:
         with ctx.Pool(processes=4) as pool:
             per_worker = pool.map(_stress_worker, jobs)
         assert [f for fails in per_worker for f in fails] == []
-        store = RolloutCache(root, enabled=True, count_global=False)
+        store = RolloutCache(root, enabled=True)
         assert len(store.entries()) == _STRESS_ENTRIES
         checked, problems = store.verify()
         assert checked == _STRESS_ENTRIES and problems == []
@@ -403,6 +402,31 @@ class TestConcurrencyStress:
         delta = global_stats().since(before).since(after_cold)
         assert delta.stores == 0 and delta.misses == 0
         assert delta.hits == after_cold.misses
+        assert [(e.knobs, e.mae) for e in warm] == [
+            (e.knobs, e.mae) for e in cold
+        ]
+
+    def test_explicit_root_keeps_prescreens_under_it(self, tmp_path, monkeypatch):
+        """An explicit store root holds the sweep's prescreen vectors
+        too: nothing lands in the default cache dir, the vectors sit
+        outside the rollout entries, and a warm rerun loads them all."""
+        from repro.core import characterization
+
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(elsewhere))
+        root = tmp_path / "root"
+        situation = situation_by_index(1)
+        cold = characterize_situation(situation, TINY, cache=root)
+        assert not elsewhere.exists()
+        assert len(list((root / "prescreen").glob("*.npz"))) == 1
+        checked, problems = RolloutCache(root).verify()
+        assert checked == len(cold) and problems == []
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("the warm sweep recomputed a prescreen")
+
+        monkeypatch.setattr(characterization, "parallel_map", recompute)
+        warm = characterize_situation(situation, TINY, cache=root)
         assert [(e.knobs, e.mae) for e in warm] == [
             (e.knobs, e.mae) for e in cold
         ]

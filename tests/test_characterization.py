@@ -11,11 +11,14 @@ from repro.core.characterization import (
     prescreen_isp,
     roi_candidates,
     _collect_outcomes,
-    _knob_tasks,
-    _run_knob_tasks,
+    _knob_grid,
+    _rollout_config,
     _select_isp_candidates,
 )
+from repro.cache import RolloutCache
 from repro.core.situation import situation_by_index
+from repro.hil.batch import run_batch
+from repro.sim.world import static_situation_track
 from repro.utils.parallel import TaskFailure
 
 #: Tiny sweep: 2 ISP candidates max, one speed, short track.
@@ -126,19 +129,14 @@ class TestParallelDeterminism:
 
 
 def _same_outcome(a, b):
-    """Outcome equality including the fresh trace (wall clock aside)."""
-    assert a.evaluation == b.evaluation
-    assert a.document == b.document
-    assert (a.result is None) == (b.result is None)
-    if a.result is None:
-        return
+    """Fresh-trace equality of two rollouts (wall clock aside)."""
     for name in ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed"):
-        assert getattr(a.result, name).tobytes() == getattr(b.result, name).tobytes()
-    assert a.result.cycles == b.result.cycles
-    assert (a.result.crashed, a.result.completed) == (b.result.crashed, b.result.completed)
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.cycles == b.cycles
+    assert (a.crashed, a.completed) == (b.crashed, b.completed)
     volatile = ("wall_clock",)
-    assert {k: v for k, v in a.result.manifest.items() if k not in volatile} == {
-        k: v for k, v in b.result.manifest.items() if k not in volatile
+    assert {k: v for k, v in a.manifest.items() if k not in volatile} == {
+        k: v for k, v in b.manifest.items() if k not in volatile
     }
 
 
@@ -160,15 +158,22 @@ class TestBatchComposition:
 
     def test_knob_tasks_chunks_of_one_equal_chunks_of_two(self, tmp_path):
         situation = situation_by_index(8)
-        tasks = _knob_tasks(
-            situation, ["S7"], TINY_FAST, cache_root=str(tmp_path / "store")
+        grid = _knob_grid(situation, ["S7"], TINY_FAST)
+        assert len(grid) == 2
+        lanes = dict(
+            track=static_situation_track(situation, length=TINY_FAST.track_length),
+            case="case4",
+            table=[{situation: knobs} for knobs in grid],
         )
-        assert len(tasks) == 2
-        one = _run_knob_tasks(tasks, 1, 1)
-        two = _run_knob_tasks(tasks, 1, 2)
-        assert len(one) == len(two) == len(tasks)
+        configs = [_rollout_config(TINY_FAST)] * len(grid)
+        stores = [RolloutCache(tmp_path / name, enabled=True) for name in ("one", "two")]
+        one = run_batch(configs, batch=1, cache=stores[0], **lanes)
+        two = run_batch(configs, batch=2, cache=stores[1], **lanes)
+        assert len(one) == len(two) == len(grid)
+        for store in stores:
+            # Every lane was keyed, missed and simulated fresh.
+            assert (store.stats.misses, store.stats.stores) == (len(grid), len(grid))
         for a, b in zip(one, two):
-            assert a.document is not None and a.result is not None
             _same_outcome(a, b)
 
 

@@ -179,11 +179,7 @@ class TestStoreRoundTripFuzz:
     @given(result_strategy, st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=10, deadline=None)
     def test_store_round_trip_is_bitwise(self, tmp_path_factory, result, nonce):
-        store = RolloutCache(
-            tmp_path_factory.mktemp("fuzz-store"),
-            enabled=True,
-            count_global=False,
-        )
+        store = RolloutCache(tmp_path_factory.mktemp("fuzz-store"), enabled=True)
         document = {"schema": 1, "kernel": "fuzz", "nonce": nonce}
         store.store(document, result)
         loaded = store.load(document)

@@ -30,6 +30,7 @@ from repro.hil.engine import HilConfig, HilEngine
 from repro.isp.pipeline import IspPipeline
 from repro.sim.track import SectorSpec, Track
 from repro.sim.world import fig7_track, static_situation_track
+from repro.utils.parallel import TaskFailure, shutdown_pool
 
 #: Reduced fidelity keeps each rollout fast; the BEV grid stays at its
 #: native 96x128 so perception runs its full reductions.
@@ -373,6 +374,24 @@ class TestSharedCnnIdentifier:
                     case="case4",
                     identifier=identifier,
                 )
+
+
+    def test_pooled_chunk_that_raises_fills_its_slots_with_task_failures(self):
+        """Across a pool, the raising lane's chunk becomes a
+        ``TaskFailure`` and the other chunk's lane still runs."""
+        track = _track(length=60.0)
+        identifier = _untrained_cnn()
+        bad = HilConfig(frame_width=104, frame_height=48, max_sim_time_s=1.0)
+        good = HilConfig(frame_width=96, frame_height=48, max_sim_time_s=1.0)
+        try:
+            failed, ran = run_batch(
+                [bad, good], track=track, case="case4", identifier=identifier,
+                jobs=2, batch=1,
+            )
+        finally:
+            shutdown_pool()
+        assert isinstance(failed, TaskFailure) and "input shape" in failed.error
+        assert_results_equal(ran, _serial(track, "case4", good, identifier))
 
 
 class TestFacades:
