@@ -458,10 +458,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def lint_main() -> int:
-    """Entry point for the ``reprolint`` console script."""
-    return main(["lint"] + sys.argv[1:])
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -33,7 +33,7 @@ flagged line suppresses that finding.  A suppression comment naming an
 id not listed above, or sitting on a line of its own, is itself
 reported (``SUP001``), so a removed rule leaves no dead comments.
 
-CLI: ``python -m repro lint [paths]`` (or ``reprolint``) exits 0 when
+CLI: ``python -m repro lint [paths]`` exits 0 when
 clean, 1 on findings and 2 when an input cannot be read or parsed
 (``PARSE000``); ``python -m repro lint --update-lockfile`` rewrites
 ``api_surface.json`` from the tree.

@@ -67,10 +67,6 @@ class ControllerGains:
         """Closed-loop augmented matrix (used by the CQLF check)."""
         return self.discrete.a_aug - self.discrete.b_aug @ self.k
 
-    def is_stable(self) -> bool:
-        """Whether the closed loop is Schur stable."""
-        return self.closed_loop_radius < 1.0
-
 
 def design_lqr(
     params: VehicleParams,

@@ -67,11 +67,6 @@ class LateralModel:
         """Number of continuous model states."""
         return self.a.shape[0]
 
-    def steady_state_gain(self) -> float:
-        """DC gain from steering to y_L (diagnostic)."""
-        a_inv = np.linalg.inv(self.a + 1e-9 * np.eye(self.n_states))
-        return float((-a_inv @ self.b)[2, 0])
-
 
 def lateral_model(
     params: VehicleParams, speed: float, lookahead: float = 5.5

@@ -104,7 +104,9 @@ def _main_effect(values: np.ndarray, groups: Sequence) -> float:
         return 0.0
     grand_mean = float(values.mean())
     between = 0.0
-    for level in set(groups):
+    # First-appearance order: a set's order follows the string hash
+    # seed, and a different summation order moves the last ulp.
+    for level in dict.fromkeys(groups):
         sel = np.array([g == level for g in groups])
         if not sel.any():
             continue

@@ -55,14 +55,6 @@ class DynamicCaseResult:
         """Whether this case's run ended in a lane departure."""
         return self.result.crashed
 
-    @property
-    def crash_sector(self) -> Optional[int]:
-        """1-based index of the sector the case failed in, or None."""
-        for sector in self.sectors:
-            if sector.failed:
-                return sector.sector
-        return None
-
 
 def run_fig8(
     cases: Sequence[str] = CASES_FIG8,

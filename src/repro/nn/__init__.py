@@ -25,7 +25,6 @@ from repro.nn.model import Sequential, ResidualBlock, FusedResidualBlock
 from repro.nn.losses import softmax_cross_entropy, softmax
 from repro.nn.optim import SGD, Adam
 from repro.nn.trainer import Trainer, TrainConfig, TrainReport
-from repro.nn.serialize import save_model_weights, load_model_weights
 
 __all__ = [
     "Layer",
@@ -48,6 +47,4 @@ __all__ = [
     "Trainer",
     "TrainConfig",
     "TrainReport",
-    "save_model_weights",
-    "load_model_weights",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.layers import BatchNorm2D, Layer
 
-__all__ = ["model_state", "load_state", "save_model_weights", "load_model_weights"]
+__all__ = ["model_state", "load_state"]
 
 
 def _batchnorms(layer: Layer) -> List[BatchNorm2D]:
@@ -59,14 +59,3 @@ def load_state(model: Layer, state: Dict[str, np.ndarray]) -> None:
     for i, bn in enumerate(_batchnorms(model)):
         bn.running_mean = state[f"bn_{i:03d}_mean"].astype(np.float32)
         bn.running_var = state[f"bn_{i:03d}_var"].astype(np.float32)
-
-
-def save_model_weights(model: Layer, path: str) -> None:
-    """Persist a model's weights to an ``.npz`` file."""
-    np.savez(path, **model_state(model))
-
-
-def load_model_weights(model: Layer, path: str) -> None:
-    """Load ``.npz`` weights into an identically-built model."""
-    with np.load(path) as data:
-        load_state(model, {name: data[name] for name in data.files})

@@ -129,11 +129,6 @@ class BevGrid:
         """Metres per BEV column."""
         return float(self.lat_axis[1] - self.lat_axis[0])
 
-    @property
-    def longitudinal_resolution(self) -> float:
-        """Metres per BEV row."""
-        return float(self.x_axis[1] - self.x_axis[0])
-
     def warp(self, frame: np.ndarray) -> np.ndarray:
         """Resample *frame* onto the BEV grid with bilinear interpolation.
 

@@ -51,21 +51,6 @@ class SequenceStats:
         """Number of evaluated frames."""
         return len(self.samples)
 
-    @property
-    def mean_abs_error(self) -> float:
-        """Mean |y_L error| over valid frames."""
-        return float(self.errors.mean()) if self.errors.size else float("nan")
-
-    @property
-    def p95_abs_error(self) -> float:
-        """95th percentile of |y_L error| over valid frames."""
-        return float(np.quantile(self.errors, 0.95)) if self.errors.size else float("nan")
-
-    @property
-    def max_abs_error(self) -> float:
-        """Largest |y_L error| over valid frames."""
-        return float(self.errors.max()) if self.errors.size else float("nan")
-
     def bad_frame_rate(self, threshold: float = 0.3) -> float:
         """Fraction of frames invalid or with |error| above *threshold*."""
         bad = self.n_invalid + int((self.errors > threshold).sum())

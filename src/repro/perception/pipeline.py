@@ -120,11 +120,6 @@ class PerceptionPipeline:
             self._hint_misses = 0
         self._roi = new_roi
 
-    def reset_tracking(self) -> None:
-        """Drop temporal hints (start of a new, unrelated frame stream)."""
-        self._hints = None
-        self._hint_misses = 0
-
     def _grid(self) -> BevGrid:
         return bev_grid(self.camera, self._roi, *self._bev_shape)
 

@@ -504,10 +504,6 @@ class Track:
             return _unclaimed(shape, pts.dtype)
         return s_out, d_out, valid
 
-    def start_pose(self, d: float = 0.0) -> Pose2D:
-        """World pose at the beginning of the track, offset *d* laterally."""
-        return self.pose_at(0.0, d)
-
 
 def _unclaimed(shape: Tuple[int, ...], dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:meth:`Track.locate_points` outputs with no point claimed yet."""

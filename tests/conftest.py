@@ -3,7 +3,9 @@
 Closed-loop and rendering tests use a small camera (160x80) to keep the
 suite fast; geometry is resolution-independent by construction (the BEV
 resampler works in ground metres), and the full-resolution behaviour is
-covered by the benchmarks.
+covered by the benchmarks.  Every session keeps its artifact and
+rollout caches in a directory of its own (``repro_cache_dir``), so a
+warm ``~/.cache/repro`` can neither feed a test nor be written by one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,15 @@ from repro.core.situation import situation_by_index
 from repro.sim.camera import CameraModel
 from repro.sim.renderer import RoadSceneRenderer
 from repro.sim.world import fig7_track, static_situation_track
+
+
+@pytest.fixture(scope="session", autouse=True)
+def repro_cache_dir(tmp_path_factory):
+    """Point ``$REPRO_CACHE_DIR`` at a per-session temporary directory."""
+    root = tmp_path_factory.mktemp("repro-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(root))
+        yield root
 
 
 @pytest.fixture(scope="session")

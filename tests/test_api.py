@@ -132,6 +132,16 @@ class TestFacade:
         survivors = [e for e in evaluations if not e.crashed]
         assert survivors == sorted(survivors, key=lambda e: e.mae)
 
+    def test_characterize_writes_only_into_the_session_cache_dir(
+        self, monkeypatch, tmp_path, repro_cache_dir
+    ):
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        repro.characterize(situation=1, config=TINY)
+        assert list(home.iterdir()) == []
+        assert list((repro_cache_dir / "rollouts").rglob("*.npz"))
+
     def test_characterize_rejects_both_selectors(self):
         with pytest.raises(ValueError, match="not both"):
             repro.characterize(situation=1, situations=[1, 2], config=TINY)

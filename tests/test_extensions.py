@@ -3,6 +3,12 @@ event-triggered invocation, LQG-in-the-loop, CLI and report plumbing."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,6 +59,30 @@ class TestKnobSensitivity:
         assert len(report.samples) == 4
         assert set(report.main_effect) == {"isp", "roi", "speed"}
         assert len(report.ranked_knobs()) == 3
+
+    def test_main_effect_ignores_the_hash_seed(self):
+        # Seed 10 draws three distinct ISP and ROI names, so each main
+        # effect sums three terms, whose order shows in the last ulp.
+        script = textwrap.dedent(
+            """
+            from repro.core.sensitivity import SensitivityConfig, knob_sensitivity
+            from repro.core.situation import situation_by_index
+
+            config = SensitivityConfig(n_samples=3, track_length=30.0, seed=10)
+            print(repr(knob_sensitivity(situation_by_index(1), config).main_effect))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = hash_seed
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_crash_penalty(self):
         sample = MonteCarloSample(

@@ -1,15 +1,13 @@
-"""Tests for the IMU model and the ASCII debug helpers."""
+"""Tests for the IMU model."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.perception.debug import frame_to_text, mask_to_text, track_to_text
 from repro.sim.geometry import Pose2D
 from repro.sim.imu import ImuModel, ImuSpec
 from repro.sim.vehicle import VehicleState
-from repro.sim.world import fig7_track
 
 
 class TestImuModel:
@@ -64,33 +62,3 @@ class TestImuModel:
         result = HilEngine(track, "case1", config=config).run()
         assert not result.crashed
 
-
-class TestDebugHelpers:
-    def test_mask_to_text_marks_pixels(self):
-        mask = np.zeros((8, 8), dtype=bool)
-        mask[:, 3] = True
-        text = mask_to_text(mask)
-        assert "#" in text and "." in text
-
-    def test_mask_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            mask_to_text(np.zeros(4, dtype=bool))
-
-    def test_frame_to_text_shapes(self):
-        frame = np.random.default_rng(0).random((64, 128, 3)).astype(np.float32)
-        text = frame_to_text(frame, max_width=40, max_height=10)
-        lines = text.splitlines()
-        assert len(lines) <= 11
-        assert all(len(line) <= 43 for line in lines)
-
-    def test_frame_to_text_grayscale(self):
-        frame = np.zeros((16, 16), dtype=np.float32)
-        frame[:, 8:] = 1.0
-        text = frame_to_text(frame)
-        assert "@" in text and " " in text
-
-    def test_track_to_text_contains_sectors(self):
-        track = fig7_track()
-        text = track_to_text(track, vehicle_s=10.0)
-        assert "X" in text
-        assert "1" in text and "9" in text

@@ -1,13 +1,10 @@
-"""Smoke tests of the report/export plumbing with stubbed heavy stages."""
+"""Smoke test of the report generator with stubbed heavy stages."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.experiments import report as report_mod
-from repro.experiments.export import export_results
 
 
 @pytest.fixture()
@@ -49,17 +46,3 @@ class TestReport:
         assert "Fig. 6" in text
         assert "Fig. 8" not in text  # dynamic skipped
 
-
-class TestExport:
-    def test_export_results_minimal(self, tmp_path, stub_heavy):
-        target = export_results(
-            str(tmp_path / "results.json"),
-            include_dynamic=False,
-            include_characterization=False,
-            include_classifiers=False,
-        )
-        data = json.loads(target.read_text())
-        assert {"table2", "table5", "fig7", "fig1", "fig6"} <= set(data)
-        assert len(data["fig7"]) == 9
-        assert data["table2"]["pr_runtime_ms"] == 3.0
-        assert data["fig1"][0]["detector"] == "stub"
