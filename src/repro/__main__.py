@@ -173,9 +173,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.cache import RolloutCache
 
     store = RolloutCache(args.dir)
+    prescreens = store.prescreens()
     if args.clear:
         removed = store.clear()
-        print(f"removed {removed} cached rollouts from {store.root}")
+        swept = prescreens.clear()
+        print(
+            f"removed {removed} cached rollouts and {swept} prescreen "
+            f"vectors from {store.root}"
+        )
         return 0
     if args.verify:
         checked, problems = store.verify()
@@ -188,6 +193,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"store    {store.root}")
     print(f"entries  {len(entries)}")
     print(f"bytes    {store.total_bytes()}")
+    vectors = prescreens.entries()
+    print(f"prescreen entries  {len(vectors)}")
+    print(f"prescreen bytes    {sum(path.stat().st_size for path in vectors)}")
     return 0
 
 
@@ -385,9 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode = p_cache.add_mutually_exclusive_group()
     mode.add_argument("--stats", action="store_true",
-                      help="print store location and size (the default)")
+                      help="print store location and size, prescreen "
+                           "vectors included (the default)")
     mode.add_argument("--clear", action="store_true",
-                      help="delete every cached rollout")
+                      help="delete every cached rollout and prescreen vector")
     mode.add_argument("--verify", action="store_true",
                       help="re-hash every entry against its embedded key "
                            "document; exit 2 on any mismatch")

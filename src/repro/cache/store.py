@@ -3,20 +3,30 @@
 Entries live under ``root/<k[:2]>/<k[2:4]>/<k>.npz`` where ``k`` is the
 content address from :func:`repro.cache.keys.rollout_key`; two-level
 hash-prefix sharding keeps directory fan-out bounded for large sweeps.
-Each entry is the exact archive :meth:`repro.hil.record.HilResult.save`
-writes: two members, ``trace`` (the trace arrays as one float64 vector)
-and ``record_json`` (outcome flags, cycle rows and the telemetry
-manifest as one JSON document), with the key document embedded in the
-record, so :meth:`RolloutCache.verify` can re-hash any entry without
-knowing how it was produced.  Entries in the older one-member-per-field
-layout load and verify the same way.
+Each entry is the file :meth:`repro.hil.record.HilResult.save` writes,
+in the flat entry format of :mod:`repro.utils.cache` (the ``.npz``
+suffix is historical): a JSON header with the outcome flags, the
+non-float cycle columns, the telemetry manifest and the key document,
+then the trace and the float cycle columns as raw float64, so a hit is
+one read and :meth:`RolloutCache.verify` can re-hash any entry without
+knowing how it was produced.  Entries in the older two- and
+twelve-member ``.npz`` layouts load and verify the same way.
 
-Writes are atomic (``mkstemp`` + :func:`os.replace`, the
-``ArtifactCache`` pattern), so concurrent writers of one key each
-replace the entry wholesale and readers never observe a torn file.  A
+Writes are atomic (:func:`repro.utils.cache.write_entry`: ``mkstemp``
++ :func:`os.replace`), so concurrent writers of one key each replace
+the entry wholesale and readers never observe a torn file.  A missing,
 corrupt or truncated entry behaves like a miss.  Loads refresh the
 entry's mtime, and stores evict least-recently-used entries past the
-size bound (``REPRO_CACHE_MAX_MB``, default 4 GiB).
+size bound (``REPRO_CACHE_MAX_MB``, default 4 GiB).  Store upkeep does
+not scale with the store on every write: an instance sweeps stale temp
+files and totals the entry bytes in one walk, then keeps the total
+running from its own stores and rescans only when it passes the bound
+(writers in other processes are seen at that rescan).
+
+A sweep's prescreen vectors live beside the rollouts, in an
+:class:`~repro.utils.cache.ArtifactCache` at ``root/prescreen``
+(:meth:`RolloutCache.prescreens`); ``repro cache --stats/--clear``
+cover both.
 
 ``REPRO_NO_CACHE=1`` disables every store, and ``REPRO_CACHE_DIR``
 relocates the default root, exactly as for ``ArtifactCache``.
@@ -26,13 +36,18 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cache.keys import rollout_key
-from repro.utils.cache import _LOAD_ERRORS, _STALE_TMP_AGE_S, default_cache_dir
+from repro.utils.cache import (
+    _LOAD_ERRORS,
+    _STALE_TMP_AGE_S,
+    ArtifactCache,
+    default_cache_dir,
+    sweep_tmp,
+)
 
 __all__ = [
     "CacheStats",
@@ -117,6 +132,9 @@ class RolloutCache:
         self.max_bytes = max_bytes
         self.enabled = enabled
         self.stats = CacheStats()
+        #: Entry bytes on disk: one scan's total plus this instance's
+        #: stores since.  ``None`` until a scan finds an entry.
+        self._bytes: Optional[int] = None
 
     # -- key -> path -----------------------------------------------------
 
@@ -132,13 +150,27 @@ class RolloutCache:
 
     def total_bytes(self) -> int:
         """Bytes currently held by the store (0 if the root is absent)."""
-        total = 0
+        return sum(size for _, size, _ in self._scan())
+
+    def prescreens(self) -> ArtifactCache:
+        """The sweep's prescreen vectors: an artifact cache at
+        ``root/prescreen``, beside the rollouts (outside their
+        ``*/*/*.npz`` entry layout)."""
+        cache = ArtifactCache("prescreen", enabled=self.enabled)
+        cache.root = self.root / "prescreen"
+        return cache
+
+    def _scan(self) -> List[Tuple[float, int, Path]]:
+        """``(mtime, size, path)`` of every entry, least recently used first."""
+        aged = []
         for path in self.entries():
             try:
-                total += path.stat().st_size
+                stat = path.stat()
             except OSError:
                 continue
-        return total
+            aged.append((stat.st_mtime, stat.st_size, path))
+        aged.sort()
+        return aged
 
     # -- stats -----------------------------------------------------------
 
@@ -161,12 +193,10 @@ class RolloutCache:
         from repro.hil.record import HilResult
 
         path = self.path_for(rollout_key(document))
-        if not path.exists():
-            self._count("misses")
-            return None
         try:
             result = HilResult.load(path)
         except _LOAD_ERRORS:
+            # Missing (FileNotFoundError), corrupt or truncated.
             self._count("misses")
             return None
         try:
@@ -181,14 +211,24 @@ class RolloutCache:
 
         Returns the entry path, or ``None`` when the store is disabled
         or the rollout is uncacheable.  The canonical JSON of the key
-        document is embedded in the archive for :meth:`verify`.
+        document is embedded in the entry for :meth:`verify`.
+
+        Until this instance knows the store's size, a store first
+        sweeps stale temp files and totals the entries in one walk; an
+        empty store has nothing to sweep or count, so the walk repeats
+        (cheaply) until the store holds an entry.  After that a store
+        adds its entry's size and rescans only when the total passes
+        ``max_bytes``.
         """
         if not self.enabled or document is None:
             return None
         key = rollout_key(document)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._sweep_tmp(max_age_s=_STALE_TMP_AGE_S)
+        if self._bytes is None:
+            self._sweep_tmp(max_age_s=_STALE_TMP_AGE_S)
+            aged = self._scan()
+            self._bytes = sum(size for _, size, _ in aged) if aged else None
         result.save(
             path,
             extra_json={
@@ -196,24 +236,23 @@ class RolloutCache:
             },
         )
         self._count("stores")
-        self._evict(protect=path)
+        if self._bytes is not None:
+            try:
+                self._bytes += path.stat().st_size
+            except OSError:
+                pass  # already evicted by a concurrent writer
+            if self._bytes > self.max_bytes:
+                self._evict(protect=path)
         return path
 
     # -- maintenance -----------------------------------------------------
 
     def _evict(self, protect: Optional[Path] = None) -> int:
-        """Drop least-recently-used entries until under the size bound."""
-        total = 0
-        aged: List[Tuple[float, int, Path]] = []
-        for path in self.entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            total += stat.st_size
-            aged.append((stat.st_mtime, stat.st_size, path))
+        """Rescan, then drop least-recently-used entries until under the
+        size bound; the rescanned total becomes the running one."""
+        aged = self._scan()
+        total = sum(size for _, size, _ in aged)
         evicted = 0
-        aged.sort()
         for mtime, size, path in aged:
             if total <= self.max_bytes:
                 break
@@ -226,27 +265,13 @@ class RolloutCache:
             total -= size
             evicted += 1
             self._count("evictions")
+        self._bytes = total
         return evicted
 
     def _sweep_tmp(self, max_age_s: float) -> int:
-        """Unlink stale ``*.npz.tmp`` files anywhere under the root.
-
-        Same contract as ``ArtifactCache._sweep_tmp``, extended over the
-        shard directories: young temp files may belong to a concurrent
-        writer mid-flight and are left alone.
-        """
-        if not self.root.exists():
-            return 0
-        now = time.time()
-        swept = 0
-        for tmp in self.root.glob("**/*.npz.tmp"):
-            try:
-                if now - tmp.stat().st_mtime >= max_age_s:
-                    tmp.unlink()
-                    swept += 1
-            except OSError:
-                continue
-        return swept
+        """Unlink stale ``*.npz.tmp`` files anywhere under the root
+        (``ArtifactCache._sweep_tmp`` over the shard directories)."""
+        return sweep_tmp(self.root, "**/*.npz.tmp", max_age_s)
 
     def clear(self) -> int:
         """Delete every entry (and stale temp files); return the count."""
@@ -258,6 +283,7 @@ class RolloutCache:
                 continue
             removed += 1
         self._sweep_tmp(max_age_s=0.0)
+        self._bytes = None
         return removed
 
     def verify(self) -> Tuple[int, List[str]]:
@@ -270,20 +296,19 @@ class RolloutCache:
         in the wrong shard.  An empty ``problems`` list means the store
         is self-consistent.
         """
-        from repro.hil.record import HilResult, load_extras
+        from repro.hil.record import load_with_extras
 
         problems: List[str] = []
         checked = 0
         for path in self.entries():
             checked += 1
             try:
-                extras = load_extras(path)
+                # A key that verifies is only useful on an entry that loads.
+                _, extras = load_with_extras(path)
                 if "cache_key_json" not in extras:
                     problems.append(f"{path}: no embedded cache key")
                     continue
                 document = json.loads(extras["cache_key_json"])
-                # A key that verifies is only useful on an entry that loads.
-                HilResult.load(path)
             except _LOAD_ERRORS as exc:
                 problems.append(f"{path}: unreadable ({exc})")
                 continue

@@ -406,12 +406,10 @@ def _select_isp_candidates(
 
 def _prescreen_cache(store: Optional[RolloutCache]) -> ArtifactCache:
     """The prescreen vectors' cache: ``<store root>/prescreen``, off
-    without a store.  Beside the rollouts, outside the store's
-    ``*/*/*.npz`` entry layout."""
-    cache = ArtifactCache("prescreen", enabled=store is not None)
-    if store is not None:
-        cache.root = store.root / "prescreen"
-    return cache
+    without a store."""
+    if store is None:
+        return ArtifactCache("prescreen", enabled=False)
+    return store.prescreens()
 
 
 def _rankings(

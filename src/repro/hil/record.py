@@ -3,20 +3,20 @@
 from __future__ import annotations
 
 import json
-import os
-import tempfile
+import zipfile
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.metrics.qoc import mae
 from repro.sim.track import Track
+from repro.utils.cache import read_entry, write_entry
 from repro.utils.profiling import StageStats, format_stage_table
 
-__all__ = ["CycleRecord", "HilResult", "SectorQoC", "load_extras"]
+__all__ = ["CycleRecord", "HilResult", "SectorQoC", "load_with_extras"]
 
 
 @dataclass
@@ -49,7 +49,10 @@ _TRACE_ARRAYS = ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed
 #: What is not an ``extra_json`` entry: the record document's own keys
 #: and the members of the older one-member-per-field layout.
 _RECORD_KEYS = frozenset(
-    ("crashed", "crash_s", "completed", "lengths", "fields", "cycles", "manifest")
+    (
+        "crashed", "crash_s", "completed", "lengths", "fields",
+        "float_fields", "cycles", "manifest",
+    )
 )
 _LEGACY_MEMBERS = frozenset(
     _TRACE_ARRAYS + ("crashed", "crash_s", "completed", "cycles_json", "manifest_json")
@@ -57,7 +60,7 @@ _LEGACY_MEMBERS = frozenset(
 
 
 def _read_record(data) -> Tuple[Dict[str, object], np.ndarray]:
-    """The record document and trace vector of an open entry."""
+    """The record document and trace vector of an open ``.npz`` file."""
     if "record_json" in data.files:
         return json.loads(data["record_json"].tobytes()), data["trace"]
     # The one-member-per-field layout written before the record document.
@@ -88,11 +91,52 @@ def _read_record(data) -> Tuple[Dict[str, object], np.ndarray]:
     return record, np.concatenate(arrays)
 
 
-def load_extras(path: str) -> Dict[str, str]:
-    """The ``extra_json`` entries a saved result carries, either layout."""
-    with np.load(path, allow_pickle=False) as data:
-        record, _ = _read_record(data)
-    return {k: v for k, v in record.items() if k not in _RECORD_KEYS}
+def _flat_rows(record: Dict[str, object], block: np.ndarray) -> Iterable[tuple]:
+    """The cycle rows of a flat entry: float columns from *block*, the
+    rest from the record's JSON columns."""
+    floats, columns = record["float_fields"], record["cycles"]
+    if block.ndim != 2 or block.shape[0] != len(floats):
+        raise ValueError(f"cycle block {block.shape} for {len(floats)} float fields")
+    columns = {**columns, **dict(zip(floats, block.tolist()))}
+    if sorted(columns) != sorted(_CYCLE_FIELDS) or any(
+        len(values) != block.shape[1] for values in columns.values()
+    ):
+        raise ValueError("cycle columns do not match the CycleRecord fields")
+    return zip(*(columns[name] for name in _CYCLE_FIELDS))
+
+
+def _read(path: str) -> Tuple[Dict[str, object], np.ndarray, Iterable[tuple]]:
+    """Record document, trace vector and cycle rows of a saved result.
+
+    A flat entry (:func:`repro.utils.cache.read_entry`) is read with
+    one ``readinto``; a zip archive goes to the ``.npz`` reader of the
+    two- and twelve-member layouts written before.
+    """
+    try:
+        record, arrays = read_entry(path)
+    except ValueError:
+        if not zipfile.is_zipfile(path):
+            raise
+        with np.load(path, allow_pickle=False) as data:
+            record, trace = _read_record(data)
+        return record, trace, record["cycles"]
+    if not isinstance(record, dict) or arrays.keys() != {"trace", "cycles"}:
+        raise ValueError(f"{path}: not a saved result")
+    return record, arrays["trace"], _flat_rows(record, arrays["cycles"])
+
+
+def load_with_extras(path: str) -> Tuple["HilResult", Dict[str, str]]:
+    """A saved result and the ``extra_json`` entries it carries, read once.
+
+    Any record that does not fit raises :class:`ValueError` (or
+    ``OSError`` for a file that cannot be read).
+    """
+    try:
+        record, trace, rows = _read(path)
+        result = HilResult._from_record(record, trace, rows)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed record ({exc!r})") from exc
+    return result, {k: v for k, v in record.items() if k not in _RECORD_KEYS}
 
 
 @dataclass
@@ -186,87 +230,103 @@ class HilResult:
     def save(
         self, path: str, *, extra_json: Optional[Dict[str, str]] = None
     ) -> Path:
-        """Persist the trace to a two-member ``.npz``.
+        """Persist the trace as one flat entry file (the rollout cache's entry).
 
-        ``trace`` holds the six trace arrays concatenated into one
-        float64 vector.  ``record_json`` is one UTF-8 JSON document
-        (stored as uint8): ``crashed``, ``crash_s``, ``completed``, the
-        six array ``lengths`` that split ``trace`` back apart, the
-        :class:`CycleRecord` field names once with one row per cycle,
-        and the manifest.  Every ``.npz`` member costs a zip lookup and
-        a header parse, so two members keep a cache hit cheap.
+        The file is :func:`repro.utils.cache.write_entry`'s format.  Its
+        JSON header holds ``crashed``, ``crash_s``, ``completed``, the
+        six array ``lengths``, the :class:`CycleRecord` field names,
+        ``float_fields`` (the cycle columns whose every value is a
+        Python float) and, as JSON lists, the other columns (strings,
+        bools, tuples, ints) under ``cycles``, plus the manifest.  Two
+        raw float64 arrays follow: ``trace``, the six trace arrays
+        concatenated, and ``cycles``, the float columns as one
+        ``(columns, cycles)`` block.  Every field loads back with its
+        Python type, and no float is parsed as text, so a cache hit is
+        one read and one small ``json.loads``.
 
         Useful for offline analysis of long runs without re-simulating.
-        The write is atomic (temp file + :func:`os.replace`, the
-        ``ArtifactCache.store`` pattern), so a crash mid-write never
-        leaves a corrupt file at the returned path — which is always
-        exactly the file written, with the ``.npz`` suffix applied up
-        front rather than appended behind our back by ``np.savez``.
+        The write is atomic (temp file + :func:`os.replace`), so a crash
+        mid-write never leaves a corrupt file at the returned path —
+        which is always exactly the file written, with the ``.npz``
+        suffix applied when missing.  The suffix is historical: the
+        rollout store's paths and the goldens predate this format.
 
-        ``extra_json`` adds JSON-string entries to the record document
-        (e.g. the cache-key document :mod:`repro.cache` embeds for
-        ``verify``; read them back with :func:`load_extras`).
-        :meth:`load` ignores them, so extras never change the loaded
-        result.
+        ``extra_json`` adds JSON-string entries to the header (e.g. the
+        cache-key document :mod:`repro.cache` embeds for ``verify``;
+        read them back with :func:`load_with_extras`).  :meth:`load`
+        ignores them, so extras never change the loaded result.
         """
         target = Path(path)
         if target.suffix != ".npz":
             target = target.with_suffix(target.suffix + ".npz")
         arrays = [getattr(self, name) for name in _TRACE_ARRAYS]
+        columns = {
+            name: [getattr(c, name) for c in self.cycles] for name in _CYCLE_FIELDS
+        }
+        floats = [
+            name
+            for name, values in columns.items()
+            if all(isinstance(value, float) for value in values)
+        ]
         record = {
             "crashed": bool(self.crashed),
             "crash_s": self.crash_s,
             "completed": bool(self.completed),
             "lengths": [len(values) for values in arrays],
             "fields": list(_CYCLE_FIELDS),
-            "cycles": [
-                [getattr(c, name) for name in _CYCLE_FIELDS] for c in self.cycles
-            ],
+            "float_fields": floats,
+            "cycles": {
+                name: values for name, values in columns.items() if name not in floats
+            },
             "manifest": self.manifest,
         }
         for name, blob in (extra_json or {}).items():
             if name in record:
                 raise ValueError(f"extra_json key shadows a record key: {name!r}")
             record[name] = blob
-        payload = {
-            "trace": np.concatenate(arrays, dtype=np.float64),
-            "record_json": np.frombuffer(json.dumps(record).encode(), np.uint8),
-        }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(target.parent), suffix=".npz.tmp"
+        block = np.array([columns[name] for name in floats], dtype=np.float64)
+        return write_entry(
+            target,
+            record,
+            {
+                "trace": np.concatenate(arrays, dtype=np.float64),
+                "cycles": block.reshape(len(floats), len(self.cycles)),
+            },
         )
-        try:
-            # Writing to the open handle (not a path) keeps np.savez
-            # from appending its own suffix, so `target` provably names
-            # the bytes on disk.
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **payload)
-            os.replace(tmp_name, target)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
-        return target
 
     @classmethod
     def load(cls, path: str) -> "HilResult":
-        """Inverse of :meth:`save`; also reads the older layout.
+        """Inverse of :meth:`save`; also reads the older ``.npz`` layouts.
 
-        A record whose ``lengths`` do not split ``trace`` or whose rows
-        do not fit :class:`CycleRecord` raises :class:`ValueError`, so
-        a cache treats it like any corrupt entry.
+        A record whose ``lengths`` do not split ``trace`` or whose cycle
+        columns or rows do not fit :class:`CycleRecord` raises
+        :class:`ValueError`, so a cache treats it like any corrupt entry.
         """
-        with np.load(path, allow_pickle=False) as data:
-            record, trace = _read_record(data)
-        lengths, rows = record["lengths"], record["cycles"]
-        if len(lengths) != len(_TRACE_ARRAYS) or min(lengths) < 0 or sum(lengths) != trace.size:
+        return load_with_extras(path)[0]
+
+    @classmethod
+    def _from_record(
+        cls, record: Dict[str, object], trace: np.ndarray, rows: Iterable[tuple]
+    ) -> "HilResult":
+        """Build a result from a saved record document, trace and cycle rows."""
+        lengths = record["lengths"]
+        if (
+            trace.ndim != 1
+            or len(lengths) != len(_TRACE_ARRAYS)
+            or min(lengths) < 0
+            or sum(lengths) != trace.size
+        ):
             raise ValueError(f"lengths {lengths} do not split {trace.size} samples")
         width = len(_CYCLE_FIELDS)
-        if record["fields"] != list(_CYCLE_FIELDS) or any(len(r) != width for r in rows):
-            raise ValueError("cycle rows do not match the CycleRecord fields")
-        cycles = [CycleRecord(*row) for row in rows]
-        for cycle in cycles:
+        if record["fields"] != list(_CYCLE_FIELDS):
+            raise ValueError("cycle fields do not match the CycleRecord fields")
+        cycles = []
+        for row in rows:
+            if len(row) != width:
+                raise ValueError("cycle rows do not match the CycleRecord fields")
+            cycle = CycleRecord(*row)
             cycle.invoked, cycle.faults = tuple(cycle.invoked), tuple(cycle.faults)
+            cycles.append(cycle)
         return cls(
             **{
                 name: trace[end - n : end]

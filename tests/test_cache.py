@@ -35,8 +35,10 @@ from repro.cache import (
 from repro.core.characterization import CharacterizationConfig, characterize_situation
 from repro.core.situation import situation_by_index
 from repro.hil.record import CycleRecord, HilResult
+from repro.utils.cache import ENTRY_MAGIC, read_entry, write_entry
 
 QUICK = dict(situation=1, case="case1", seed=5, frame=(96, 48), length_m=40.0)
+TRACE_FIELDS = ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed")
 
 #: Tiny sweep for the warm-pass recompute check (4 closed-loop tasks).
 TINY = CharacterizationConfig(
@@ -100,14 +102,53 @@ def save_legacy(result: HilResult, path, document: dict) -> None:
     )
 
 
+def save_two_member(result: HilResult, path, document: dict) -> None:
+    """Write *result* in the two-member ``.npz`` layout of older stores."""
+    arrays = [getattr(result, name) for name in TRACE_FIELDS]
+    record = {
+        "crashed": result.crashed,
+        "crash_s": result.crash_s,
+        "completed": result.completed,
+        "lengths": [len(values) for values in arrays],
+        "fields": [f.name for f in dataclasses.fields(CycleRecord)],
+        "cycles": [list(dataclasses.astuple(c)) for c in result.cycles],
+        "manifest": result.manifest,
+        "cache_key_json": json.dumps(document, sort_keys=True),
+    }
+    np.savez(
+        path,
+        trace=np.concatenate(arrays),
+        record_json=np.frombuffer(json.dumps(record).encode(), np.uint8),
+    )
+
+
 def rewrite_record(path, mutate) -> None:
-    """Re-save a two-member entry after *mutate* edits its record dict."""
-    with np.load(path) as data:
-        trace = data["trace"]
-        record = json.loads(data["record_json"].tobytes())
+    """Re-save a flat entry after *mutate* edits its record document."""
+    record, arrays = read_entry(path)
     mutate(record)
-    blob = np.frombuffer(json.dumps(record).encode(), np.uint8)
-    np.savez(path, trace=trace, record_json=blob)
+    write_entry(path, record, arrays)
+
+
+def patch_entry(path, edit_header=None, cut=0) -> None:
+    """Rewrite an entry's JSON header through *edit_header* (which may
+    return a raw length to store instead of the true one), then drop
+    the last *cut* bytes -- damage ``write_entry`` refuses to produce."""
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + length])
+    forced = edit_header(header) if edit_header else None
+    blob = json.dumps(header).encode()
+    blob += b" " * (-len(blob) % 8)
+    prefix = ENTRY_MAGIC + (forced or len(blob)).to_bytes(8, "little")
+    data = prefix + blob + raw[16 + length :]
+    path.write_bytes(data[: len(data) - cut])
+
+
+def _set_dtype(descr):
+    def edit(header):
+        header["arrays"][0][1] = descr
+
+    return edit
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +198,7 @@ class TestRolloutCacheStore:
         [
             lambda record: record["lengths"].__setitem__(0, record["lengths"][0] + 1),
             lambda record: record["lengths"].__setitem__(slice(0, 2), [-1, 9]),
-            lambda record: record["cycles"][0].pop(),
+            lambda record: record["cycles"]["roi"].pop(),
             lambda record: record["fields"].reverse(),
         ],
         ids=["lengths-overrun", "negative-length", "row-arity", "field-order"],
@@ -172,23 +213,71 @@ class TestRolloutCacheStore:
         assert checked == 1 and len(problems) == 1
         assert "unreadable" in problems[0]
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            dict(cut=8),
+            dict(edit_header=lambda header: 1 << 40),
+            dict(edit_header=_set_dtype("<x9")),
+            dict(edit_header=_set_dtype("|O")),
+            dict(edit_header=lambda header: header["arrays"][0].__setitem__(3, 1 << 20)),
+            dict(edit_header=lambda header: header["arrays"][0].__setitem__(3, -8)),
+        ],
+        ids=[
+            "truncated", "header-overrun", "unknown-dtype", "object-dtype",
+            "array-overrun", "negative-offset",
+        ],
+    )
+    def test_damaged_entry_is_a_miss_and_a_verify_problem(self, tmp_path, damage):
+        store = RolloutCache(tmp_path, enabled=True)
+        path = store.store(tiny_document(3), tiny_result(3))
+        patch_entry(path, **damage)
+        with pytest.raises(ValueError):
+            read_entry(path)
+        assert store.load(tiny_document(3)) is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
+        checked, problems = store.verify()
+        assert checked == 1 and len(problems) == 1
+        assert "unreadable" in problems[0]
+
     def test_new_and_legacy_entries_verify_and_load_bit_identically(self, tmp_path):
-        """A store written before the two-member layout stays warm."""
+        """A store written in either older ``.npz`` layout stays warm
+        beside flat entries."""
         store = RolloutCache(tmp_path, enabled=True)
         fresh = store.store(tiny_document(1), tiny_result(1))
-        legacy = store.path_for(rollout_key(tiny_document(2)))
-        legacy.parent.mkdir(parents=True)
-        save_legacy(tiny_result(2), legacy, tiny_document(2))
-        with np.load(fresh) as data:
+        paths = {}
+        for entry, writer in ((2, save_two_member), (3, save_legacy)):
+            paths[entry] = store.path_for(rollout_key(tiny_document(entry)))
+            paths[entry].parent.mkdir(parents=True)
+            writer(tiny_result(entry), paths[entry], tiny_document(entry))
+        assert fresh.read_bytes()[: len(ENTRY_MAGIC)] == ENTRY_MAGIC
+        with np.load(paths[2]) as data:
             assert sorted(data.files) == ["record_json", "trace"]
-        with np.load(legacy) as data:
+        with np.load(paths[3]) as data:
             assert "cycles_json" in data.files and "record_json" not in data.files
-        assert store.verify() == (2, [])
-        for entry in (1, 2):
+        assert store.verify() == (3, [])
+        for entry in (1, 2, 3):
             loaded, expected = store.load(tiny_document(entry)), tiny_result(entry)
             _assert_same_trace(loaded, expected)
             assert (loaded.crash_s, loaded.manifest) == (expected.crash_s, expected.manifest)
-        assert store.stats.hits == 2 and store.stats.misses == 0
+        assert store.stats.hits == 3 and store.stats.misses == 0
+
+    def test_verify_reads_each_entry_once(self, tmp_path, monkeypatch):
+        import repro.hil.record as record_module
+
+        store = RolloutCache(tmp_path, enabled=True)
+        for entry in range(3):
+            store.store(tiny_document(entry), tiny_result(entry))
+        reads = []
+        real_read_entry = record_module.read_entry
+
+        def counting_read_entry(path):
+            reads.append(path)
+            return real_read_entry(path)
+
+        monkeypatch.setattr(record_module, "read_entry", counting_read_entry)
+        assert store.verify() == (3, [])
+        assert sorted(reads) == store.entries()
 
     def test_verify_catches_entry_in_wrong_shard(self, tmp_path):
         store = RolloutCache(tmp_path, enabled=True)
@@ -215,6 +304,33 @@ class TestRolloutCacheStore:
         assert store.stats.evictions == 1
         assert store.load(tiny_document(0)) is None   # oldest evicted
         assert store.load(tiny_document(2)) is not None  # newest protected
+
+    def test_stores_under_the_bound_scan_the_store_once(self, tmp_path, monkeypatch):
+        """Store upkeep does not walk the store on every write: one
+        instance sweeps and totals an existing store once, then keeps
+        the total running until it passes the bound."""
+        RolloutCache(tmp_path, enabled=True).store(tiny_document(0), tiny_result(0))
+        store = RolloutCache(tmp_path, enabled=True)
+        scans, sweeps = [], []
+        real_scan, real_sweep = store._scan, store._sweep_tmp
+        monkeypatch.setattr(store, "_scan", lambda: scans.append(1) or real_scan())
+        monkeypatch.setattr(
+            store, "_sweep_tmp", lambda **kw: sweeps.append(1) or real_sweep(**kw)
+        )
+        def on_disk():
+            return sum(path.stat().st_size for path in store.entries())
+
+        for entry in range(1, 9):
+            store.store(tiny_document(entry), tiny_result(entry))
+        assert (len(scans), len(sweeps)) == (1, 1)
+        assert store._bytes == on_disk()
+        assert store.stats.evictions == 0
+
+        store.max_bytes = store._bytes + 1
+        store.store(tiny_document(9), tiny_result(9))
+        assert (len(scans), len(sweeps)) == (2, 1)
+        assert store.stats.evictions == 1
+        assert store._bytes == on_disk() <= store.max_bytes
 
     def test_clear_removes_everything(self, tmp_path):
         store = RolloutCache(tmp_path, enabled=True)
@@ -263,7 +379,7 @@ class TestResolveCache:
 
 def _assert_same_trace(a: HilResult, b: HilResult) -> None:
     """Bitwise equality of two simulated traces (wall clock aside)."""
-    for field in ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed"):
+    for field in TRACE_FIELDS:
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
     assert a.cycles == b.cycles
     assert (a.crashed, a.completed) == (b.crashed, b.completed)
@@ -465,6 +581,15 @@ class TestCacheCli:
         assert main(["cache", "--clear", "--dir", str(root)]) == 0
         assert "removed 1" in capsys.readouterr().out
         assert RolloutCache(root).entries() == []
+
+    def test_stats_and_clear_cover_the_prescreen_vectors(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        characterize_situation(situation_by_index(1), TINY, cache=root)
+        assert main(["cache", "--dir", str(root)]) == 0
+        assert "prescreen entries  1" in capsys.readouterr().out
+        assert main(["cache", "--clear", "--dir", str(root)]) == 0
+        assert "and 1 prescreen vectors" in capsys.readouterr().out
+        assert [p for p in root.rglob("*") if p.is_file()] == []
 
 
 class TestBatchIndependentConfigHash:

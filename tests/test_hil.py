@@ -14,10 +14,11 @@ import pytest
 
 from repro.core.situation import Scene, situation_by_index
 from repro.hil.engine import HilConfig, HilEngine
-from repro.hil.record import HilResult
+from repro.hil.record import CycleRecord, HilResult
 from repro.sim.geometry import Pose2D
 from repro.sim.track import SectorSpec, Track
 from repro.sim.world import fig7_track, static_situation_track
+from repro.utils.cache import ENTRY_MAGIC, read_entry
 from tests.golden_corpus import CORPUS, GOLDEN_DIR
 
 FAST = dict(frame_width=192, frame_height=96)
@@ -283,8 +284,8 @@ class TestTraceSerialization:
         assert loaded.mae(2.0) == pytest.approx(result.mae(2.0))
 
     def test_save_appends_npz_suffix_and_reports_it(self, tmp_path):
-        """np.savez appends .npz to suffix-less paths; save() must
-        return the path of the file actually written."""
+        """save() applies the historical .npz suffix to suffix-less
+        paths and returns the path of the file actually written."""
         result, _ = _run("case2", length=60.0)
         returned = result.save(str(tmp_path / "trace"))
         assert returned == tmp_path / "trace.npz"
@@ -297,18 +298,32 @@ class TestTraceSerialization:
         """A crash during serialization must leave no file at the
         target path and no temp debris — and must not clobber a
         previous good save."""
-        import repro.hil.record as record_module
+        import repro.utils.cache as cache_module
 
         result, _ = _run("case2", length=60.0)
         target = tmp_path / "trace.npz"
         result.save(str(target))
         good_bytes = target.read_bytes()
+        real_fdopen = cache_module.os.fdopen
 
-        def exploding_savez(handle, **payload):
-            handle.write(b"partial garbage")
-            raise RuntimeError("disk full")
+        class ExplodingHandle:
+            def __init__(self, handle):
+                self.handle = handle
 
-        monkeypatch.setattr(record_module.np, "savez", exploding_savez)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, payload):
+                self.handle.write(payload[:16])
+                raise RuntimeError("disk full")
+
+        monkeypatch.setattr(
+            cache_module.os, "fdopen",
+            lambda fd, mode: ExplodingHandle(real_fdopen(fd, mode)),
+        )
         with pytest.raises(RuntimeError, match="disk full"):
             result.save(str(target))
         assert target.read_bytes() == good_bytes
@@ -345,17 +360,57 @@ class TestTraceSerialization:
         assert loaded.profile is None
 
     def test_saved_result_has_exactly_two_members(self, tmp_path):
+        """A saved result is one flat entry: a JSON record header and
+        exactly two float64 arrays, the trace and the float cycle block."""
         result, _ = _run("case2", length=60.0)
         path = result.save(str(tmp_path / "two.npz"))
-        with np.load(path) as data:
-            assert sorted(data.files) == ["record_json", "trace"]
-            assert data["trace"].dtype == np.float64
-            assert data["record_json"].dtype == np.uint8
-            assert data["trace"].size == 6 * result.time_s.size
+        assert path.read_bytes()[: len(ENTRY_MAGIC)] == ENTRY_MAGIC
+        record, arrays = read_entry(path)
+        assert sorted(arrays) == ["cycles", "trace"]
+        assert arrays["trace"].dtype == np.float64
+        assert arrays["trace"].size == 6 * result.time_s.size
+        assert arrays["cycles"].dtype == np.float64
+        assert arrays["cycles"].shape == (len(record["float_fields"]), len(result.cycles))
+        assert set(record["float_fields"]) >= {"time_ms", "s", "steering"}
+        assert set(record["cycles"]) >= {"active_isp", "roi", "invoked", "faults"}
+
+    def test_every_cycle_field_round_trips_with_its_type(self, tmp_path):
+        """Float columns go through the raw block, all others through
+        JSON; both give back each value's Python type and bits."""
+        base = dict(
+            time_ms=0.0, s=-0.0, active_isp="S7", roi="ROI 2", speed_kmph=50,
+            period_ms=40.0, delay_ms=36.5, invoked=("isp", "road"),
+            measurement_valid=True, y_l_measured=float("nan"), steering=-0.0,
+            degraded=False, faults=("banding",),
+        )
+        cycles = [
+            CycleRecord(**base),
+            CycleRecord(**{**base, "speed_kmph": 30.0, "y_l_measured": 1e-300,
+                           "time_ms": float("inf"), "faults": ()}),
+        ]
+        result = HilResult(*(np.arange(3.0) for _ in TRACE_FIELDS), cycles=cycles)
+        loaded = HilResult.load(result.save(str(tmp_path / "types.npz")))
+        for before, after in zip(cycles, loaded.cycles):
+            for name, value in dataclasses.asdict(before).items():
+                got = getattr(after, name)
+                assert type(got) is type(getattr(before, name)), name
+                if isinstance(value, float):
+                    assert np.float64(got).tobytes() == np.float64(value).tobytes(), name
+                else:
+                    assert got == getattr(before, name), name
+
+    def test_loaded_arrays_are_writable(self, tmp_path):
+        result, _ = _run("case2", length=60.0)
+        loaded = HilResult.load(result.save(str(tmp_path / "w.npz")))
+        for name in TRACE_FIELDS:
+            array = getattr(loaded, name)
+            assert array.flags.writeable, name
+            array[:1] = 0.0
+        np.testing.assert_array_equal(loaded.s[1:], result.s[1:])
 
     def test_extra_json_shadowing_a_record_key_raises(self, tmp_path):
         result, _ = _run("case2", length=60.0)
-        for key in ("cycles", "lengths", "manifest"):
+        for key in ("cycles", "lengths", "manifest", "float_fields"):
             with pytest.raises(ValueError, match="shadows"):
                 result.save(str(tmp_path / "x.npz"), extra_json={key: "[]"})
         assert list(tmp_path.iterdir()) == []

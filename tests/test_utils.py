@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.cache import ArtifactCache, config_hash
+from repro.utils.cache import (
+    ENTRY_MAGIC,
+    ArtifactCache,
+    config_hash,
+    read_entry,
+    write_entry,
+)
 from repro.utils.rng import derive_rng, seed_everything, stream_seed
 from repro.utils.validation import (
     check_finite,
@@ -72,6 +78,41 @@ class TestValidation:
             check_finite("a", np.array([1.0, np.nan]))
 
 
+class TestEntryFormat:
+    def test_round_trip_keeps_doc_and_arrays(self, tmp_path):
+        doc = {"name": "x", "values": [1, 2.5, None]}
+        arrays = {"a": np.arange(3, dtype=">i4"), "b": np.full((2, 2), -0.0)}
+        path = write_entry(tmp_path / "e.npz", doc, arrays)
+        got_doc, got = read_entry(path)
+        assert got_doc == doc
+        for name, value in arrays.items():
+            assert got[name].dtype == value.dtype
+            assert got[name].tobytes() == value.tobytes()
+        assert path.stat().st_size % 8 == 0
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_object_and_structured_dtypes_are_refused_on_write(self, tmp_path):
+        for value in (np.array([{"a": 1}], dtype=object), np.zeros(2, "i4,f8")):
+            with pytest.raises(ValueError, match="unsupported dtype"):
+                write_entry(tmp_path / "e.npz", {}, {"x": value})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "blob",
+        [b"", b"PK\x03\x04 a zip", b"\x93REPRO\x01\n" + b"\xff" * 8, b"\x93REPRO\x01\n"],
+        ids=["empty", "bad-magic", "huge-header", "short-prefix"],
+    )
+    def test_damaged_files_raise_value_error(self, tmp_path, blob):
+        path = tmp_path / "e.npz"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            read_entry(path)
+
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_entry(tmp_path / "absent.npz")
+
+
 class TestArtifactCache:
     def test_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -110,6 +151,37 @@ class TestArtifactCache:
         for blob in (b"not an npz", intact[:40], intact[: len(intact) // 2], intact[:-10]):
             path.write_bytes(blob)
             assert cache.load({"a": 1}) is None, len(blob)
+
+    def test_round_trips_zero_d_float32_and_int_arrays(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cache = ArtifactCache("unit", enabled=True)
+        arrays = {
+            "scalar": np.array(0.1),
+            "weights": np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4),
+            "counts": np.arange(5, dtype=np.int64),
+            "flags": np.array([True, False, True]),
+            "empty": np.zeros((0, 3)),
+        }
+        cache.store({"a": 1}, arrays)
+        loaded = cache.load({"a": 1})
+        assert sorted(loaded) == sorted(arrays)
+        for name, value in arrays.items():
+            assert loaded[name].dtype == value.dtype, name
+            assert loaded[name].shape == value.shape, name
+            assert loaded[name].tobytes() == value.tobytes(), name
+            assert loaded[name].flags.writeable, name
+
+    def test_old_npz_entry_is_a_miss_then_overwritten(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cache = ArtifactCache("unit", enabled=True)
+        path = cache._path(config_hash({"a": 1}))
+        path.parent.mkdir(parents=True)
+        np.savez(path, x=np.ones(3))
+        assert cache.load({"a": 1}) is None
+        assert cache.store({"a": 1}, {"x": np.zeros(3)}) == path
+        assert path.read_bytes()[: len(ENTRY_MAGIC)] == ENTRY_MAGIC
+        np.testing.assert_array_equal(cache.load({"a": 1})["x"], np.zeros(3))
+        assert cache.entries() == [path]
 
     def test_config_hash_order_independent(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
