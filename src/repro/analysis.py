@@ -14,8 +14,9 @@ facade the experiments are driven through):
   ``stream_seed`` at more than one call site among the files linted:
   two components would draw identical sequences;
 - ``PRF001`` — a float64 reference in a float32 hot-path module;
-- ``CAC001`` — ``config_hash`` called outside the sanctioned cache-key
-  modules, which would mint a second address for one rollout;
+- ``CAC001`` — ``config_hash`` (or its ``_text_hash`` digest) called
+  outside the sanctioned cache-key modules, which would mint a second
+  address for one rollout;
 - ``DOM001`` — an ISP stage, ROI, speed or timing literal outside its
   characterized domain (imported from the modules that own them);
 - ``UNT001`` — a ``*_ms`` value assigned to a ``*_s`` name (or the
@@ -81,8 +82,9 @@ EXIT_CRASH = 2
 _RNG_EXEMPT_SUFFIX = "utils/rng.py"
 _STREAM_FUNCTIONS = frozenset({"derive_rng", "stream_seed"})
 
-#: Allowed to call ``config_hash``: its home module, the manifest builder
-#: (whose hash IS the run-identity field), and the one rollout-key module.
+#: Allowed to call ``config_hash`` (or ``_text_hash``, its digest of an
+#: already canonical text): its home module, the manifest builder (whose
+#: hash IS the run-identity field), and the one rollout-key module.
 _CACHE_KEY_EXEMPT_SUFFIXES = (
     "utils/cache.py",
     "telemetry/manifest.py",
@@ -310,7 +312,7 @@ def _check_cache_key(node: ast.AST, f: _File) -> None:
     if not isinstance(node, ast.Call):
         return
     dotted = _dotted_name(node.func)
-    if dotted is not None and dotted.rpartition(".")[2] == "config_hash":
+    if dotted is not None and dotted.rpartition(".")[2] in ("config_hash", "_text_hash"):
         f.report(
             "CAC001",
             node,

@@ -22,9 +22,11 @@ process; only the misses are rolled, in any worker count), and the
 from repro.cache.keys import (
     KEY_SCHEMA,
     ROLLOUT_KERNEL_VERSION,
+    RolloutKey,
     kernel_identity_tag,
     rollout_key,
     rollout_key_document,
+    rollout_keys,
 )
 from repro.cache.store import (
     CacheStats,
@@ -38,9 +40,11 @@ __all__ = [
     "ROLLOUT_KERNEL_VERSION",
     "CacheStats",
     "RolloutCache",
+    "RolloutKey",
     "global_stats",
     "kernel_identity_tag",
     "resolve_cache",
     "rollout_key",
     "rollout_key_document",
+    "rollout_keys",
 ]

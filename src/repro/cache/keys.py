@@ -5,8 +5,9 @@ geometry, the design case, the knob table, the situation identifier
 spec, and the full :class:`~repro.hil.engine.HilConfig` (which carries
 the seed, the fault plan and the mitigation policy).  This module turns
 those inputs into a *key document* — a plain-JSON dictionary — and
-hashes it with the same :func:`repro.utils.cache.config_hash` machinery
-every other cache in the package uses.
+hashes its canonical JSON with the digest of
+:func:`repro.utils.cache.config_hash`, which every other cache in the
+package uses.
 
 Three identity fields ride along beside the inputs:
 
@@ -30,6 +31,20 @@ profiled config (profiling is observational, but ``profile`` is part of
 the config hash and a cached result could not carry measured stats
 anyway).
 
+:func:`rollout_keys` keys a whole batch of lanes in one call, and
+:func:`rollout_key_document` is its one-lane call, so there is one
+derivation.  Within a call the parts lanes share are derived once, by
+object identity: each distinct track's ``to_config()``, each distinct
+case's entry and each distinct config's entry, plus the kernel tag
+and the library versions; only each lane's table entry is built per
+lane.  One canonical ``json.dumps(document, sort_keys=True)`` per lane
+then serves as the serializability check, as the text the content
+address hashes, and as the ``cache_key_json`` the store embeds beside
+the entry (:class:`RolloutKey`).  Nothing is shared *across* calls:
+the library versions in particular are read afresh by every call, so a
+process that upgrades or re-dispatches a library (or a test that
+monkeypatches the versions) never keys with a stale value.
+
 This module is the only place rollout cache keys may be constructed —
 the ``CAC001`` lint rule rejects ``config_hash`` calls elsewhere, so
 every consumer (facade, batch engine, sweep runner) agrees on
@@ -44,17 +59,20 @@ import glob
 import json
 import os
 from dataclasses import asdict, is_dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
-from repro.utils.cache import config_hash
+from repro.utils.cache import _text_hash
 from repro.utils.version import __version__
 
 __all__ = [
     "KEY_SCHEMA",
     "ROLLOUT_KERNEL_VERSION",
+    "RolloutKey",
     "kernel_identity_tag",
+    "keyed",
     "rollout_key",
     "rollout_key_document",
+    "rollout_keys",
 ]
 
 #: Version of the key-document layout itself (bump on field changes).
@@ -113,6 +131,11 @@ def _library_versions() -> Dict[str, str]:
     }
 
 
+def _track_entry(track: Any) -> List[dict]:
+    """JSON form of the track geometry."""
+    return track.to_config()
+
+
 def _case_entry(case: Any) -> Optional[Any]:
     """JSON form of the design case (``None`` = uncacheable).
 
@@ -129,6 +152,23 @@ def _case_entry(case: Any) -> Optional[Any]:
     return None
 
 
+def _config_entry(config: Any) -> Dict[str, object]:
+    """JSON form of the :class:`~repro.hil.engine.HilConfig`.
+
+    ``asdict`` keeps a fault spec's fields but not its class, and two
+    kinds can share every field (a ``wrong_label`` and a ``timeout``
+    spec on one classifier and window), so each spec's entry also
+    names its kind.  A config without fault specs keys as ``asdict``.
+    """
+    entry = asdict(config)
+    if config.fault_plan:
+        entry["fault_plan"]["specs"] = [
+            {"kind": spec.kind, **fields}
+            for spec, fields in zip(config.fault_plan.specs, entry["fault_plan"]["specs"])
+        ]
+    return entry
+
+
 def _table_entry(table: Any) -> Optional[List[list]]:
     """JSON form of the situation -> knob table, sorted for canonicity."""
     if table is None:
@@ -139,6 +179,89 @@ def _table_entry(table: Any) -> Optional[List[list]]:
     ]
     entries.sort(key=lambda entry: entry[0])
     return entries
+
+
+class RolloutKey(NamedTuple):
+    """One rollout's key: its document, canonical JSON and content address."""
+
+    document: Dict[str, object]
+    #: ``json.dumps(document, sort_keys=True)``: what the address hashes
+    #: and the ``cache_key_json`` the store embeds for ``verify``.
+    canonical: str
+    #: ``rollout_key(document)``, the store's content address.
+    key: str
+
+
+def keyed(document: Union[RolloutKey, Dict[str, object]]) -> RolloutKey:
+    """*document* as a :class:`RolloutKey` (a key passes through)."""
+    if isinstance(document, RolloutKey):
+        return document
+    canonical = json.dumps(document, sort_keys=True)
+    return RolloutKey(document, canonical, _text_hash(canonical))
+
+
+def rollout_keys(
+    *,
+    tracks: Sequence[Any],
+    cases: Sequence[Any],
+    tables: Sequence[Any],
+    identifier: Any = None,
+    configs: Sequence[Any],
+) -> List[Optional[RolloutKey]]:
+    """The :class:`RolloutKey` of every lane, ``None`` where uncacheable.
+
+    ``tracks``, ``cases``, ``tables`` and ``configs`` hold one value per
+    lane; ``identifier`` is every lane's.  Each lane's document equals
+    what :func:`rollout_key_document` returns for that lane alone (it is
+    the one-lane call of this function); the parts lanes share are
+    derived once per call (see the module docstring).
+    """
+    from repro.hil.engine import HilConfig
+
+    n_lanes = len(configs)
+    if not len(tracks) == len(cases) == len(tables) == n_lanes:
+        raise ValueError("rollout_keys needs one track, case, table and config per lane")
+    if identifier is not None and not isinstance(identifier, str):
+        return [None] * n_lanes
+    shared = {
+        "schema": KEY_SCHEMA,
+        "kernel": kernel_identity_tag(),
+        "package_version": __version__,
+        "libraries": _library_versions(),
+        "identifier": identifier,
+    }
+    # Keyed by id(): every object stays alive in the caller's sequences
+    # for the whole call, so an id cannot be reused within it.
+    derived: Dict[tuple, Any] = {}
+
+    def once(derive: Callable[[Any], Any], value: Any) -> Any:
+        slot = (derive, id(value))
+        if slot not in derived:
+            derived[slot] = derive(value)
+        return derived[slot]
+
+    default = HilConfig()
+    keys: List[Optional[RolloutKey]] = []
+    for track, case, table, config in zip(tracks, cases, tables, configs):
+        config = default if config is None else config
+        case_entry = None if config.profile else once(_case_entry, case)
+        if case_entry is None:
+            keys.append(None)
+            continue
+        document: Dict[str, object] = {
+            **shared,
+            "track": once(_track_entry, track),
+            "case": case_entry,
+            "table": _table_entry(table),
+            "config": once(_config_entry, config),
+        }
+        try:
+            keys.append(keyed(document))
+        except (TypeError, ValueError):
+            # An input the document cannot faithfully serialize (e.g. a
+            # fault plan carrying an exotic payload): run it live.
+            keys.append(None)
+    return keys
 
 
 def rollout_key_document(
@@ -155,39 +278,16 @@ def rollout_key_document(
     docstring); callers then simply run it live.  The document is pure
     JSON (``json.dumps`` needs no coercions), so the exact string the
     store embeds next to each entry re-hashes to the entry's file name
-    — that is what ``python -m repro cache --verify`` checks.
+    — that is what ``python -m repro cache --verify`` checks.  This is
+    :func:`rollout_keys` for one lane.
     """
-    from repro.hil.engine import HilConfig
-
-    if config is None:
-        config = HilConfig()
-    if config.profile:
-        return None
-    if identifier is not None and not isinstance(identifier, str):
-        return None
-    case_entry = _case_entry(case)
-    if case_entry is None:
-        return None
-    document: Dict[str, object] = {
-        "schema": KEY_SCHEMA,
-        "kernel": kernel_identity_tag(),
-        "package_version": __version__,
-        "libraries": _library_versions(),
-        "track": track.to_config(),
-        "case": case_entry,
-        "table": _table_entry(table),
-        "identifier": identifier,
-        "config": asdict(config),
-    }
-    try:
-        json.dumps(document, sort_keys=True)
-    except (TypeError, ValueError):
-        # An input the document cannot faithfully serialize (e.g. a
-        # fault plan carrying an exotic payload): run it live.
-        return None
-    return document
+    (key,) = rollout_keys(
+        tracks=[track], cases=[case], tables=[table], identifier=identifier,
+        configs=[config],
+    )
+    return None if key is None else key.document
 
 
 def rollout_key(document: Dict[str, object]) -> str:
     """Hash a key document to the store's content address."""
-    return config_hash(document)
+    return keyed(document).key

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.cache.keys import rollout_key
+from repro.cache.keys import RolloutKey, keyed, rollout_key
 from repro.utils.cache import (
     _LOAD_ERRORS,
     _STALE_TMP_AGE_S,
@@ -140,7 +140,7 @@ class RolloutCache:
 
     def path_for(self, key: str) -> Path:
         """Sharded entry path for a content address."""
-        return self.root / key[:2] / key[2:4] / f"{key}.npz"
+        return Path(self.root, key[:2], key[2:4], f"{key}.npz")
 
     def entries(self) -> List[Path]:
         """Every stored entry, sorted by path (stable for tests/CLI)."""
@@ -180,19 +180,22 @@ class RolloutCache:
 
     # -- load / store ----------------------------------------------------
 
-    def load(self, document: Optional[Dict[str, object]]):
+    def load(self, document: Union[RolloutKey, Dict[str, object], None]):
         """The cached result for a key document, or ``None`` on a miss.
 
-        ``document=None`` (an uncacheable rollout) is a silent miss
-        without counters — there is nothing such a rollout could ever
-        hit.  Corrupt entries behave like misses.  A hit refreshes the
-        entry's mtime, making eviction least-recently-*used*.
+        *document* is a key document or its
+        :class:`~repro.cache.keys.RolloutKey`; a key carries its address,
+        so nothing is re-derived.  ``document=None`` (an uncacheable
+        rollout) is a silent miss without counters — there is nothing
+        such a rollout could ever hit.  Corrupt entries behave like
+        misses.  A hit refreshes the entry's mtime, making eviction
+        least-recently-*used*.
         """
         if not self.enabled or document is None:
             return None
         from repro.hil.record import HilResult
 
-        path = self.path_for(rollout_key(document))
+        path = self.path_for(keyed(document).key)
         try:
             result = HilResult.load(path)
         except _LOAD_ERRORS:
@@ -206,12 +209,15 @@ class RolloutCache:
         self._count("hits")
         return result
 
-    def store(self, document: Optional[Dict[str, object]], result) -> Optional[Path]:
+    def store(
+        self, document: Union[RolloutKey, Dict[str, object], None], result
+    ) -> Optional[Path]:
         """Atomically persist *result* under its key document's address.
 
         Returns the entry path, or ``None`` when the store is disabled
         or the rollout is uncacheable.  The canonical JSON of the key
-        document is embedded in the entry for :meth:`verify`.
+        document (:attr:`RolloutKey.canonical`) is embedded in the entry
+        for :meth:`verify`.
 
         Until this instance knows the store's size, a store first
         sweeps stale temp files and totals the entries in one walk; an
@@ -222,19 +228,14 @@ class RolloutCache:
         """
         if not self.enabled or document is None:
             return None
-        key = rollout_key(document)
-        path = self.path_for(key)
+        key = keyed(document)
+        path = self.path_for(key.key)
         path.parent.mkdir(parents=True, exist_ok=True)
         if self._bytes is None:
             self._sweep_tmp(max_age_s=_STALE_TMP_AGE_S)
             aged = self._scan()
             self._bytes = sum(size for _, size, _ in aged) if aged else None
-        result.save(
-            path,
-            extra_json={
-                "cache_key_json": json.dumps(document, sort_keys=True)
-            },
-        )
+        result.save(path, extra_json={"cache_key_json": key.canonical})
         self._count("stores")
         if self._bytes is not None:
             try:

@@ -263,22 +263,23 @@ def _collect_outcomes(
 # sweep drivers
 
 
-def _prescreen_key(
-    situation: Situation, config: CharacterizationConfig
-) -> Dict[str, object]:
-    """Cache key for one situation's prescreen bad-rate vector."""
+def _prescreen_keys(
+    situations: Sequence[Situation], config: CharacterizationConfig
+) -> Dict[Situation, Dict[str, object]]:
+    """Cache key of each situation's prescreen bad-rate vector; the
+    config and kernel parts are derived once for the whole sweep."""
+    shared = {"config": config.to_config(), "kernel": kernel_identity_tag()}
     return {
-        "situation": situation.to_config(),
-        "config": config.to_config(),
-        "kernel": kernel_identity_tag(),
+        situation: {"situation": situation.to_config(), **shared}
+        for situation in situations
     }
 
 
 def _load_prescreen(
-    cache: ArtifactCache, situation: Situation, config: CharacterizationConfig
+    cache: ArtifactCache, key: Dict[str, object], config: CharacterizationConfig
 ) -> Optional[List[Tuple[str, float]]]:
-    """The cached (isp, bad_rate) list for a situation, or ``None``."""
-    cached = cache.load(_prescreen_key(situation, config))
+    """The cached (isp, bad_rate) list under a prescreen key, or ``None``."""
+    cached = cache.load(key)
     if cached is None or "rates" not in cached:
         return None
     rates = cached["rates"]
@@ -291,14 +292,12 @@ def _load_prescreen(
 
 def _store_prescreen(
     cache: ArtifactCache,
-    situation: Situation,
-    config: CharacterizationConfig,
+    key: Dict[str, object],
     prescreen: Sequence[Tuple[str, float]],
 ) -> None:
     """Persist a situation's prescreen bad-rate vector (parent only)."""
     cache.store(
-        _prescreen_key(situation, config),
-        {"rates": np.array([rate for _, rate in prescreen], dtype=float)},
+        key, {"rates": np.array([rate for _, rate in prescreen], dtype=float)}
     )
 
 
@@ -318,8 +317,9 @@ def _prescreen_all(
     """
     prescreens: Dict[Situation, List[Tuple[str, float]]] = {}
     pending: List[Situation] = []
+    keys = _prescreen_keys(situations, config)
     for situation in situations:
-        cached = _load_prescreen(cache, situation, config)
+        cached = _load_prescreen(cache, keys[situation], config)
         if cached is not None:
             prescreens[situation] = cached
         else:
@@ -356,7 +356,7 @@ def _prescreen_all(
             for isp, rate in zip(config.isp_names, rates[i * n_isp : (i + 1) * n_isp])
         ]
         prescreens[situation] = prescreen
-        _store_prescreen(cache, situation, config, prescreen)
+        _store_prescreen(cache, keys[situation], prescreen)
     return prescreens
 
 

@@ -79,7 +79,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cache import RolloutCache, rollout_key_document
+from repro.cache import RolloutCache, rollout_keys
 from repro.control.controller import LaneKeepingController
 from repro.core.cases import CaseConfig
 from repro.core.knobs import KnobSetting
@@ -582,8 +582,9 @@ def run_batch(
 
     Every lane is first looked up in ``cache`` (a
     :class:`~repro.cache.RolloutCache`, or ``None`` for no caching), in
-    this process.  The misses are grouped by track object in order of
-    first appearance, cut into chunks of
+    this process, under the keys one :func:`~repro.cache.rollout_keys`
+    call derives for all lanes.  The misses are grouped by track object
+    in order of first appearance, cut into chunks of
     :func:`~repro.utils.parallel.resolve_batch` lanes, and each chunk
     runs lock-step through :class:`BatchedHilEngine`; fresh results
     are stored from this process too, so the store's counters are exact
@@ -605,17 +606,13 @@ def run_batch(
     n_jobs = resolve_jobs(jobs)
 
     results: List[Union[HilResult, TaskFailure, None]] = [None] * n_lanes
-    documents: List[Optional[dict]] = [None] * n_lanes
+    keys = [None] * n_lanes
     if cache is not None:
-        for i in range(n_lanes):
-            documents[i] = rollout_key_document(
-                track=tracks[i],
-                case=cases[i],
-                table=tables[i],
-                identifier=identifier,
-                config=configs[i],
-            )
-            results[i] = cache.load(documents[i])
+        keys = rollout_keys(
+            tracks=tracks, cases=cases, tables=tables, identifier=identifier,
+            configs=configs,
+        )
+        results = [cache.load(key) for key in keys]
     misses = [i for i, result in enumerate(results) if result is None]
     by_track: Dict[int, List[int]] = {}
     for i in misses:
@@ -644,5 +641,5 @@ def run_batch(
             else:
                 results[i] = output[lane]
                 if cache is not None:
-                    cache.store(documents[i], output[lane])
+                    cache.store(keys[i], output[lane])
     return results  # type: ignore[return-value]

@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
+from itertools import accumulate, groupby
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class CycleRecord:
 
 #: Field order of a saved cycle row.
 _CYCLE_FIELDS = tuple(f.name for f in fields(CycleRecord))
+#: The tuple-valued fields, saved as JSON lists.
+_TUPLE_FIELDS = frozenset(("invoked", "faults"))
 #: The trace arrays, in the order they are concatenated on disk.
 _TRACE_ARRAYS = ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed")
 #: What is not an ``extra_json`` entry: the record document's own keys
@@ -51,7 +53,7 @@ _TRACE_ARRAYS = ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed
 _RECORD_KEYS = frozenset(
     (
         "crashed", "crash_s", "completed", "lengths", "fields",
-        "float_fields", "cycles", "manifest",
+        "float_fields", "runs", "cycles", "manifest",
     )
 )
 _LEGACY_MEMBERS = frozenset(
@@ -91,26 +93,76 @@ def _read_record(data) -> Tuple[Dict[str, object], np.ndarray]:
     return record, np.concatenate(arrays)
 
 
-def _flat_rows(record: Dict[str, object], block: np.ndarray) -> Iterable[tuple]:
-    """The cycle rows of a flat entry: float columns from *block*, the
-    rest from the record's JSON columns."""
-    floats, columns = record["float_fields"], record["cycles"]
+def _runs(values: list) -> List[list]:
+    """*values* as ``[[value, count], ...]`` runs: consecutive values
+    merge only when their JSON encodings are identical, so ``-0.0`` and
+    ``0.0``, ``True`` and ``1``, ``1`` and ``1.0`` stay apart."""
+    runs = []
+    for _, group in groupby(values, json.dumps):
+        group = list(group)
+        runs.append([group[0], len(group)])
+    return runs
+
+
+def _expand(runs: List[list], n: int, tupled: bool) -> list:
+    """The *n* values of a column's runs; a tuple field's value is made
+    a tuple once per run, and the run's cycles share it."""
+    counts = [count for _, count in runs]
+    if sum(counts) != n or not all(isinstance(c, int) and c > 0 for c in counts):
+        raise ValueError(f"runs of {counts} cycles for {n}")
+    values: list = []
+    for value, count in runs:
+        values += [tuple(value) if tupled else value] * count
+    return values
+
+
+def _tupled(columns: Dict[str, list]) -> Dict[str, list]:
+    """*columns* with each tuple field's JSON lists made tuples."""
+    for name in _TUPLE_FIELDS & columns.keys():
+        columns[name] = [tuple(value) for value in columns[name]]
+    return columns
+
+
+def _flat_columns(record: Dict[str, object], block: np.ndarray) -> Dict[str, list]:
+    """The cycle columns of a flat entry: float columns from *block*, the
+    rest from the record's runs (or, in entries written before the runs,
+    from its plain JSON ``cycles`` columns)."""
+    floats = record["float_fields"]
     if block.ndim != 2 or block.shape[0] != len(floats):
         raise ValueError(f"cycle block {block.shape} for {len(floats)} float fields")
-    columns = {**columns, **dict(zip(floats, block.tolist()))}
+    n = block.shape[1]
+    if "runs" in record:
+        columns = {
+            name: _expand(runs, n, name in _TUPLE_FIELDS)
+            for name, runs in record["runs"].items()
+        }
+    else:
+        columns = _tupled(dict(record["cycles"]))
+    columns.update(zip(floats, block.tolist()))
     if sorted(columns) != sorted(_CYCLE_FIELDS) or any(
-        len(values) != block.shape[1] for values in columns.values()
+        len(values) != n for values in columns.values()
     ):
         raise ValueError("cycle columns do not match the CycleRecord fields")
-    return zip(*(columns[name] for name in _CYCLE_FIELDS))
+    return columns
 
 
-def _read(path: str) -> Tuple[Dict[str, object], np.ndarray, Iterable[tuple]]:
-    """Record document, trace vector and cycle rows of a saved result.
+def _row_columns(rows: List[list]) -> Dict[str, list]:
+    """The cycle columns of the rows an ``.npz`` layout saved."""
+    if any(len(row) != len(_CYCLE_FIELDS) for row in rows):
+        raise ValueError("cycle rows do not match the CycleRecord fields")
+    return _tupled(
+        {name: [row[k] for row in rows] for k, name in enumerate(_CYCLE_FIELDS)}
+    )
+
+
+def _read(path: str) -> Tuple[Dict[str, object], np.ndarray, Dict[str, list]]:
+    """Record document, trace vector and cycle columns of a saved result.
 
     A flat entry (:func:`repro.utils.cache.read_entry`) is read with
-    one ``readinto``; a zip archive goes to the ``.npz`` reader of the
-    two- and twelve-member layouts written before.
+    one ``readinto``; its trace is copied out of the read buffer, so a
+    loaded result does not keep the header and cycle block alive.  A
+    zip archive goes to the ``.npz`` reader of the two- and
+    twelve-member layouts written before.
     """
     try:
         record, arrays = read_entry(path)
@@ -119,10 +171,10 @@ def _read(path: str) -> Tuple[Dict[str, object], np.ndarray, Iterable[tuple]]:
             raise
         with np.load(path, allow_pickle=False) as data:
             record, trace = _read_record(data)
-        return record, trace, record["cycles"]
+        return record, trace, _row_columns(record["cycles"])
     if not isinstance(record, dict) or arrays.keys() != {"trace", "cycles"}:
         raise ValueError(f"{path}: not a saved result")
-    return record, arrays["trace"], _flat_rows(record, arrays["cycles"])
+    return record, arrays["trace"].copy(), _flat_columns(record, arrays["cycles"])
 
 
 def load_with_extras(path: str) -> Tuple["HilResult", Dict[str, str]]:
@@ -132,9 +184,9 @@ def load_with_extras(path: str) -> Tuple["HilResult", Dict[str, str]]:
     ``OSError`` for a file that cannot be read).
     """
     try:
-        record, trace, rows = _read(path)
-        result = HilResult._from_record(record, trace, rows)
-    except (KeyError, TypeError) as exc:
+        record, trace, columns = _read(path)
+        result = HilResult._from_record(record, trace, columns)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed record ({exc!r})") from exc
     return result, {k: v for k, v in record.items() if k not in _RECORD_KEYS}
 
@@ -236,13 +288,20 @@ class HilResult:
         JSON header holds ``crashed``, ``crash_s``, ``completed``, the
         six array ``lengths``, the :class:`CycleRecord` field names,
         ``float_fields`` (the cycle columns whose every value is a
-        Python float) and, as JSON lists, the other columns (strings,
-        bools, tuples, ints) under ``cycles``, plus the manifest.  Two
-        raw float64 arrays follow: ``trace``, the six trace arrays
-        concatenated, and ``cycles``, the float columns as one
-        ``(columns, cycles)`` block.  Every field loads back with its
-        Python type, and no float is parsed as text, so a cache hit is
-        one read and one small ``json.loads``.
+        Python float), the other columns (strings, bools, tuples, ints)
+        under ``runs``, and the manifest.  Each of those columns is
+        saved run-length encoded, as ``[[value, count], ...]``: the
+        knob, identification and fault columns hold one value for long
+        stretches of cycles.  Consecutive values merge only when their
+        JSON encodings are identical, so ``-0.0``/``0.0``, ``True``/``1``
+        and ``1``/``1.0`` stay apart.  Two raw float64 arrays follow:
+        ``trace``, the six trace arrays concatenated, and ``cycles``,
+        the float columns as one ``(columns, cycles)`` block.  Every
+        field loads back with its Python type, and no float is parsed
+        as text, so a cache hit is one read and one small
+        ``json.loads``.  Entries written before the runs hold the same
+        columns as plain JSON lists under ``cycles``; :meth:`load`
+        reads both.
 
         Useful for offline analysis of long runs without re-simulating.
         The write is atomic (temp file + :func:`os.replace`), so a crash
@@ -275,13 +334,15 @@ class HilResult:
             "lengths": [len(values) for values in arrays],
             "fields": list(_CYCLE_FIELDS),
             "float_fields": floats,
-            "cycles": {
-                name: values for name, values in columns.items() if name not in floats
+            "runs": {
+                name: _runs(values)
+                for name, values in columns.items()
+                if name not in floats
             },
             "manifest": self.manifest,
         }
         for name, blob in (extra_json or {}).items():
-            if name in record:
+            if name in _RECORD_KEYS:
                 raise ValueError(f"extra_json key shadows a record key: {name!r}")
             record[name] = blob
         block = np.array([columns[name] for name in floats], dtype=np.float64)
@@ -306,9 +367,9 @@ class HilResult:
 
     @classmethod
     def _from_record(
-        cls, record: Dict[str, object], trace: np.ndarray, rows: Iterable[tuple]
+        cls, record: Dict[str, object], trace: np.ndarray, columns: Dict[str, list]
     ) -> "HilResult":
-        """Build a result from a saved record document, trace and cycle rows."""
+        """Build a result from a saved record document, trace and cycle columns."""
         lengths = record["lengths"]
         if (
             trace.ndim != 1
@@ -317,22 +378,16 @@ class HilResult:
             or sum(lengths) != trace.size
         ):
             raise ValueError(f"lengths {lengths} do not split {trace.size} samples")
-        width = len(_CYCLE_FIELDS)
         if record["fields"] != list(_CYCLE_FIELDS):
             raise ValueError("cycle fields do not match the CycleRecord fields")
-        cycles = []
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("cycle rows do not match the CycleRecord fields")
-            cycle = CycleRecord(*row)
-            cycle.invoked, cycle.faults = tuple(cycle.invoked), tuple(cycle.faults)
-            cycles.append(cycle)
         return cls(
             **{
                 name: trace[end - n : end]
                 for name, n, end in zip(_TRACE_ARRAYS, lengths, accumulate(lengths))
             },
-            cycles=cycles,
+            cycles=[
+                CycleRecord(*row) for row in zip(*(columns[f] for f in _CYCLE_FIELDS))
+            ],
             crashed=record["crashed"],
             crash_s=record["crash_s"],
             completed=record["completed"],

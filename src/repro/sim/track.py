@@ -238,7 +238,9 @@ class Track:
     def __init__(self, segments: Sequence[TrackSegment]):
         if not segments:
             raise ValueError("a track needs at least one segment")
-        self.segments: List[TrackSegment] = list(segments)
+        #: A tuple, so a track shared between callers (see
+        #: :func:`repro.sim.world.static_situation_track`) cannot grow.
+        self.segments: Tuple[TrackSegment, ...] = tuple(segments)
         self._s_bounds = np.array(
             [seg.s_start for seg in self.segments] + [self.segments[-1].s_end]
         )
@@ -418,7 +420,7 @@ class Track:
         best += 3 * np.arange(best.size)
         return s_start[best] + s_local[best], d[best]
 
-    def _candidate_segments(self, s_hint: Optional[float]) -> List[TrackSegment]:
+    def _candidate_segments(self, s_hint: Optional[float]) -> Sequence[TrackSegment]:
         if s_hint is None:
             return self.segments
         idx = int(self.segment_index_at(s_hint))

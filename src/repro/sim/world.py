@@ -26,6 +26,7 @@ scheme struggles with.
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 import numpy as np
@@ -85,6 +86,7 @@ def fig7_track(
     return Track.from_sections(sections, Pose2D(0.0, 0.0, 0.0))
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def static_situation_track(
     situation: Situation,
     length: float = 250.0,
@@ -92,6 +94,13 @@ def static_situation_track(
     lead_in: float = 35.0,
 ) -> Track:
     """A track for static per-situation evaluation (Fig. 6).
+
+    Memoised per process: the track is a pure function of the
+    arguments, so equal arguments of equal types return the one shared
+    :class:`Track` (its segments are a tuple, and nothing mutates a
+    track).  A warm sweep therefore builds each situation's track once,
+    and its lanes and the cache keys of repeated sweeps see the same
+    object.
 
     Turn situations are entered from a straight *lead-in* stretch with
     the same lane/scene appearance (labelled with the straight layout so

@@ -162,8 +162,12 @@ def default_cache_dir() -> Path:
 
 def config_hash(config: Dict[str, Any]) -> str:
     """Hash a JSON-serializable config dict to a stable hex digest."""
-    blob = json.dumps(config, sort_keys=True, default=_jsonify)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+    return _text_hash(json.dumps(config, sort_keys=True, default=_jsonify))
+
+
+def _text_hash(text: str) -> str:
+    """The :func:`config_hash` digest of an already canonical JSON text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
 
 
 def _jsonify(obj: Any) -> Any:

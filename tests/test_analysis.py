@@ -345,6 +345,14 @@ def test_cac001_flags_ad_hoc_cache_key_hashing(tmp_path):
     assert finding.rule_id == "CAC001"
     assert "repro.cache.keys" in finding.message
 
+    # So is hashing an already canonical text with the same digest.
+    files["mod.py"] = (
+        "from pkg.utils.cache import _text_hash\n"
+        "key = _text_hash('{}')\n"
+    )
+    (finding,) = tree_report(tmp_path, files).findings
+    assert finding.rule_id == "CAC001"
+
     # Going through the sanctioned key constructor is clean.
     files["mod.py"] = (
         "from pkg.cache.keys import rollout_key, rollout_key_document\n"

@@ -122,6 +122,38 @@ def save_two_member(result: HilResult, path, document: dict) -> None:
     )
 
 
+def save_plain_columns(result: HilResult, path, document: dict) -> None:
+    """Write *result* as a flat entry with plain JSON cycle columns, the
+    layout flat entries had before the run-length columns."""
+    arrays = [getattr(result, name) for name in TRACE_FIELDS]
+    names = [f.name for f in dataclasses.fields(CycleRecord)]
+    columns = {name: [getattr(c, name) for c in result.cycles] for name in names}
+    floats = [
+        name for name, values in columns.items()
+        if all(isinstance(value, float) for value in values)
+    ]
+    record = {
+        "crashed": result.crashed,
+        "crash_s": result.crash_s,
+        "completed": result.completed,
+        "lengths": [len(values) for values in arrays],
+        "fields": names,
+        "float_fields": floats,
+        "cycles": {name: v for name, v in columns.items() if name not in floats},
+        "manifest": result.manifest,
+        "cache_key_json": json.dumps(document, sort_keys=True),
+    }
+    block = np.array([columns[name] for name in floats], dtype=np.float64)
+    write_entry(
+        path,
+        record,
+        {
+            "trace": np.concatenate(arrays),
+            "cycles": block.reshape(len(floats), len(result.cycles)),
+        },
+    )
+
+
 def rewrite_record(path, mutate) -> None:
     """Re-save a flat entry after *mutate* edits its record document."""
     record, arrays = read_entry(path)
@@ -198,7 +230,7 @@ class TestRolloutCacheStore:
         [
             lambda record: record["lengths"].__setitem__(0, record["lengths"][0] + 1),
             lambda record: record["lengths"].__setitem__(slice(0, 2), [-1, 9]),
-            lambda record: record["cycles"]["roi"].pop(),
+            lambda record: record["runs"]["roi"].pop(),
             lambda record: record["fields"].reverse(),
         ],
         ids=["lengths-overrun", "negative-length", "row-arity", "field-order"],
@@ -241,26 +273,31 @@ class TestRolloutCacheStore:
         assert "unreadable" in problems[0]
 
     def test_new_and_legacy_entries_verify_and_load_bit_identically(self, tmp_path):
-        """A store written in either older ``.npz`` layout stays warm
-        beside flat entries."""
+        """A store written in any older layout (plain-column flat entries,
+        two- and twelve-member ``.npz``) stays warm beside run-length
+        flat entries."""
         store = RolloutCache(tmp_path, enabled=True)
         fresh = store.store(tiny_document(1), tiny_result(1))
         paths = {}
-        for entry, writer in ((2, save_two_member), (3, save_legacy)):
+        for entry, writer in (
+            (2, save_two_member), (3, save_legacy), (4, save_plain_columns)
+        ):
             paths[entry] = store.path_for(rollout_key(tiny_document(entry)))
             paths[entry].parent.mkdir(parents=True)
             writer(tiny_result(entry), paths[entry], tiny_document(entry))
-        assert fresh.read_bytes()[: len(ENTRY_MAGIC)] == ENTRY_MAGIC
+        assert "runs" in read_entry(fresh)[0]
         with np.load(paths[2]) as data:
             assert sorted(data.files) == ["record_json", "trace"]
         with np.load(paths[3]) as data:
             assert "cycles_json" in data.files and "record_json" not in data.files
-        assert store.verify() == (3, [])
-        for entry in (1, 2, 3):
+        plain = read_entry(paths[4])[0]
+        assert "cycles" in plain and "runs" not in plain
+        assert store.verify() == (4, [])
+        for entry in (1, 2, 3, 4):
             loaded, expected = store.load(tiny_document(entry)), tiny_result(entry)
             _assert_same_trace(loaded, expected)
             assert (loaded.crash_s, loaded.manifest) == (expected.crash_s, expected.manifest)
-        assert store.stats.hits == 3 and store.stats.misses == 0
+        assert store.stats.hits == 4 and store.stats.misses == 0
 
     def test_verify_reads_each_entry_once(self, tmp_path, monkeypatch):
         import repro.hil.record as record_module
@@ -427,6 +464,101 @@ class TestFacadeCache:
         )
         assert document["kernel"] == kernel_identity_tag()
         assert document["schema"] == 2
+
+    def test_batch_keys_equal_one_lane_keys(self):
+        """``rollout_keys`` over mixed lanes gives every lane the key, the
+        canonical JSON and the document the one-lane derivation gives,
+        down to the byte: shared and per-lane tracks, cases (names and
+        instances) and configs, and a profiled (uncacheable) lane."""
+        from repro.cache import KEY_SCHEMA, rollout_keys
+        from repro.cache.keys import _library_versions
+        from repro.core.cases import case_config
+        from repro.core.knobs import KnobSetting
+        from repro.hil.engine import HilConfig
+        from repro.sim import static_situation_track
+        from repro.utils.version import __version__
+
+        def reference(track, case, table, identifier, config):
+            # The document as built one lane at a time before the batch key.
+            if config.profile or (identifier is not None and not isinstance(identifier, str)):
+                return None
+            case = case_config(case) if isinstance(case, str) else case
+            entries = [[list(s.to_config()), k.to_config()] for s, k in (table or {}).items()]
+            return {
+                "schema": KEY_SCHEMA,
+                "kernel": kernel_identity_tag(),
+                "package_version": __version__,
+                "libraries": _library_versions(),
+                "track": track.to_config(),
+                "case": dataclasses.asdict(case),
+                "table": sorted(entries, key=lambda entry: entry[0]),
+                "identifier": identifier,
+                "config": dataclasses.asdict(config),
+            }
+
+        one, fifteen = situation_by_index(1), situation_by_index(15)
+        shared_track = static_situation_track(one, length=30.0)
+        shared_config = HilConfig(frame_width=48, frame_height=24, seed=2)
+        tracks = [shared_track, shared_track, static_situation_track(fifteen, length=12.0),
+                  shared_track, shared_track]
+        cases = ["case4", case_config("case4"), "case3", "case2", "case4"]
+        tables = [
+            {one: KnobSetting("S6", "ROI 1", 50.0)},
+            {fifteen: KnobSetting("S2", "ROI 5", 30.0), one: KnobSetting("S0", "ROI 1", 30.0)},
+            None,
+            {one: KnobSetting("S6", "ROI 1", 50.0)},
+            None,
+        ]
+        configs = [shared_config, shared_config, HilConfig(seed=9), None,
+                   HilConfig(profile=True)]
+        for identifier in (None, "oracle:0.9"):
+            keys = rollout_keys(
+                tracks=tracks, cases=cases, tables=tables, identifier=identifier,
+                configs=configs,
+            )
+            for lane, key in enumerate(keys):
+                config = HilConfig() if configs[lane] is None else configs[lane]
+                expected = reference(tracks[lane], cases[lane], tables[lane], identifier, config)
+                one_lane = rollout_key_document(
+                    track=tracks[lane], case=cases[lane], table=tables[lane],
+                    identifier=identifier, config=configs[lane],
+                )
+                if expected is None:
+                    assert key is None and one_lane is None
+                    continue
+                assert key.document == one_lane == expected
+                assert key.key == rollout_key(expected)
+                assert key.canonical == json.dumps(expected, sort_keys=True)
+            assert keys[-1] is None and all(key is not None for key in keys[:-1])
+        from repro.core.reconfiguration import OracleIdentifier
+
+        assert rollout_keys(
+            tracks=tracks, cases=cases, tables=tables, identifier=OracleIdentifier(),
+            configs=configs,
+        ) == [None] * len(configs)
+
+    def test_fault_specs_of_different_kinds_key_apart(self):
+        """Two fault kinds with the same fields (a wrong label and a timeout
+        on one classifier and window) simulate differently, so they must
+        not share an address; a config without faults keys as before."""
+        from repro.faults import FaultPlan
+        from repro.hil.engine import HilConfig
+        from repro.sim import static_situation_track
+
+        track = static_situation_track(situation_by_index(1), length=40.0)
+        documents = [
+            rollout_key_document(
+                track=track, case="case4",
+                config=HilConfig(fault_plan=FaultPlan.parse(f"{kind}@0:300,classifier=road")),
+            )
+            for kind in ("wrong_label", "timeout")
+        ]
+        assert [d["config"]["fault_plan"]["specs"][0]["kind"] for d in documents] == [
+            "wrong_label", "timeout",
+        ]
+        assert rollout_key(documents[0]) != rollout_key(documents[1])
+        plain = rollout_key_document(track=track, case="case4", config=HilConfig())
+        assert plain["config"] == dataclasses.asdict(HilConfig())
 
     @pytest.mark.parametrize("library", ["numpy", "scipy"])
     def test_library_upgrade_changes_the_key(self, library, monkeypatch):

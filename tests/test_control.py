@@ -162,6 +162,44 @@ class TestGainScheduler:
         b = sched.gains_for(8.33, 0.025, 0.0231)
         assert a is not b
 
+    def test_fresh_engines_share_one_design_per_knob_tuple(self, monkeypatch):
+        """The designs are memoised per process on their exact inputs:
+        a second fresh engine on the same knobs solves nothing, rolls
+        byte-equal, and each engine still lists its own designs."""
+        import repro.control.gains as gains_module
+        from repro.core.knobs import KnobSetting
+        from repro.core.situation import situation_by_index
+        from repro.hil.engine import HilConfig, HilEngine
+        from repro.sim import static_situation_track
+
+        calls = []
+
+        def counting_design(*args, **kwargs):
+            calls.append(args)
+            return design_lqr(*args, **kwargs)
+
+        monkeypatch.setattr(gains_module, "design_lqr", counting_design)
+        gains_module._shared_design.cache_clear()
+        situation = situation_by_index(1)
+        track = static_situation_track(situation, length=20.0)
+        config = HilConfig(frame_width=48, frame_height=24, seed=4)
+        table = {situation: KnobSetting("S6", "ROI 1", 50.0)}
+        try:
+            runs = []
+            for _ in range(2):
+                engine = HilEngine(track, "case4", table=table, config=config)
+                runs.append((engine.run(), engine.gain_scheduler.cached_designs()))
+                if len(runs) == 1:
+                    solved = len(calls)
+            assert solved >= 1 and len(calls) == solved
+            (first, first_designs), (second, second_designs) = runs
+            for name in ("time_s", "s", "lateral_offset", "y_l_true", "steering", "speed"):
+                assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+            assert [id(g) for g in first_designs] == [id(g) for g in second_designs]
+            assert all(not g.k.flags.writeable for g in first_designs)
+        finally:
+            gains_module._shared_design.cache_clear()
+
 
 class TestController:
     def _gains(self):

@@ -235,6 +235,14 @@ class TestWorld:
         track = static_situation_track(SIT, length=500.0)
         assert track.length == pytest.approx(500.0)
 
+    def test_static_track_is_shared_and_cannot_grow(self):
+        """Equal arguments return the one memoised track, whose segments
+        are a tuple, so no caller can extend the shared copy."""
+        track = static_situation_track(situation_by_index(8), length=40.0)
+        assert static_situation_track(situation_by_index(8), length=40.0) is track
+        assert static_situation_track(situation_by_index(8), length=41.0) is not track
+        assert isinstance(track.segments, tuple)
+
 
 class TestFrenetBatch:
     def _mixed_track(self):

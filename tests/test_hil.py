@@ -372,7 +372,7 @@ class TestTraceSerialization:
         assert arrays["cycles"].dtype == np.float64
         assert arrays["cycles"].shape == (len(record["float_fields"]), len(result.cycles))
         assert set(record["float_fields"]) >= {"time_ms", "s", "steering"}
-        assert set(record["cycles"]) >= {"active_isp", "roi", "invoked", "faults"}
+        assert set(record["runs"]) >= {"active_isp", "roi", "invoked", "faults"}
 
     def test_every_cycle_field_round_trips_with_its_type(self, tmp_path):
         """Float columns go through the raw block, all others through
@@ -408,9 +408,47 @@ class TestTraceSerialization:
             array[:1] = 0.0
         np.testing.assert_array_equal(loaded.s[1:], result.s[1:])
 
+    def test_runs_merge_only_values_with_identical_json(self, tmp_path):
+        """A non-float column is saved as runs; neighbours merge only when
+        their JSON encodings match, so each value loads back with its
+        own type and sign."""
+        from repro.hil.record import _runs
+
+        mixed = [0.0, -0.0, -0.0, True, 1, 1, 1.0, ("a",), ("a",), ()]
+        assert [(repr(value), count) for value, count in _runs(mixed)] == [
+            ("0.0", 1), ("-0.0", 2), ("True", 1), ("1", 2), ("1.0", 1),
+            ("('a',)", 2), ("()", 1),
+        ]
+        base = dict(
+            time_ms=0.0, s=0.0, active_isp="S7", roi="ROI 2", speed_kmph=50.0,
+            period_ms=40.0, delay_ms=36.5, invoked=("isp",),
+            measurement_valid=True, y_l_measured=0.5, steering=0.0,
+        )
+        cycles = [CycleRecord(**{**base, "speed_kmph": value}) for value in mixed[:7]]
+        path = HilResult(*(np.arange(3.0) for _ in TRACE_FIELDS), cycles=cycles).save(
+            str(tmp_path / "runs.npz")
+        )
+        record, _ = read_entry(path)
+        assert "speed_kmph" in record["runs"] and "cycles" not in record
+        assert record["runs"]["roi"] == [["ROI 2", 7]]
+        loaded = HilResult.load(path).cycles
+        assert [repr(c.speed_kmph) for c in loaded] == [repr(v) for v in mixed[:7]]
+        assert loaded == cycles and all(type(c.invoked) is tuple for c in loaded)
+
+    def test_loaded_trace_does_not_hold_the_entry_buffer(self, tmp_path):
+        """A loaded result's arrays are views of a copy of the trace alone,
+        so the entry's header and cycle block are freed after the read."""
+        result, _ = _run("case2", length=60.0)
+        loaded = HilResult.load(result.save(str(tmp_path / "b.npz")))
+        trace_bytes = 8 * sum(getattr(result, name).size for name in TRACE_FIELDS)
+        for name in TRACE_FIELDS:
+            owner = getattr(loaded, name).base
+            assert isinstance(owner, np.ndarray) and owner.base is None, name
+            assert owner.nbytes == trace_bytes, name
+
     def test_extra_json_shadowing_a_record_key_raises(self, tmp_path):
         result, _ = _run("case2", length=60.0)
-        for key in ("cycles", "lengths", "manifest", "float_fields"):
+        for key in ("runs", "cycles", "lengths", "manifest", "float_fields"):
             with pytest.raises(ValueError, match="shadows"):
                 result.save(str(tmp_path / "x.npz"), extra_json={key: "[]"})
         assert list(tmp_path.iterdir()) == []

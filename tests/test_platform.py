@@ -110,6 +110,13 @@ class TestSchedule:
         assert timing.delay_ms == pytest.approx(tau, abs=0.05)
         assert timing.period_ms == pytest.approx(h)
 
+    def test_classifier_spellings_share_one_timing(self):
+        """Memoised on a tuple of the classifiers: a list and a tuple of
+        the same names give the one (frozen) timing."""
+        by_tuple = pipeline_timing("S3", ("road", "lane"), dynamic_isp=True)
+        assert pipeline_timing("S3", ["road", "lane"], dynamic_isp=True) is by_tuple
+        assert pipeline_timing("S3", ("road",), dynamic_isp=True) != by_tuple
+
     def test_delay_below_period(self):
         timing = pipeline_timing("S0", ("road", "lane", "scene"))
         assert timing.delay_ms <= timing.period_ms
